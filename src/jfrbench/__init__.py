@@ -12,8 +12,7 @@ from .generators import (GenSpec, add_edges, gen_neg_dense, gen_slf_killer,
                          plant_negative_cycle)
 from .graph import (EdgeListDoc, Graph, from_edge_list, read_file, read_text,
                     write_file, write_text)
-from .jfr import (Frontier, JfrConfig, filter_stable_vertices, jfr_pq,
-                  jfr_strict, lmh_propagate)
+from .jfr import JfrConfig, LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from .metrics import BoundReport, Comparison, bound_check, compare
 from .paths import cycle_weight, detect_negative_cycle, reconstruct_path
 from .results import RunStats, SsspResult
@@ -22,15 +21,15 @@ from .verify import VerifyReport, check_optimality_conditions, oracle_compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "Comparison", "EdgeListDoc", "Frontier", "GenSpec",
+    "BoundReport", "Comparison", "EdgeListDoc", "GenSpec",
     "Graph", "HeaderMismatch", "IndexOutOfRange", "JfrConfig", "JfrError",
-    "ModeMismatch", "NegCycleResult", "NegativeSelfLoop",
+    "LmhWorkspace", "ModeMismatch", "NegCycleResult", "NegativeSelfLoop",
     "NegativeWeightPresent", "NoCycleRecorded", "NonFiniteWeight",
     "ParseError", "PotentialUnavailable", "RunStats", "SpecInvalid",
     "SsspResult", "UnknownAlgorithm", "Unreachable", "VerifyReport",
     "ZeroOps", "add_edges", "bellman_ford", "bound_check",
     "check_optimality_conditions", "compare", "cycle_weight",
-    "detect_negative_cycle", "dijkstra_oracle", "filter_stable_vertices",
+    "detect_negative_cycle", "dijkstra_oracle",
     "from_edge_list", "gen_neg_dense", "gen_slf_killer", "gen_sparse_random",
     "gen_windmill", "generate", "jfr_pq", "jfr_strict", "lmh_propagate",
     "oracle_compare", "plant_negative_cycle", "read_file", "read_text",

@@ -30,7 +30,7 @@ from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
 from .generators import add_edges, generate
 from .graph import Graph, read_file, write_file, write_text
-from .jfr import jfr_pq, jfr_strict
+from .jfr import JfrConfig, jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
 from .verify import VerifyReport, check_optimality_conditions, oracle_compare
@@ -55,6 +55,8 @@ DESK_SUITE = {
 
 
 def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
+    if name.startswith("jfr-") and k < 1:
+        raise SpecInvalid(f"k must be >= 1, got {k}")
     if name == "bf":
         return bellman_ford(g, source)
     if name == "spfa":
@@ -64,7 +66,7 @@ def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
     if name == "jfr-strict":
         return jfr_strict(g, source, k)
     if name == "jfr-pq":
-        return jfr_pq(g, source)
+        return jfr_pq(g, source, JfrConfig(k=k))
     if name == "dijkstra":
         return dijkstra_oracle(g, source)
     raise UnknownAlgorithm(f"unknown algorithm {name!r}; "

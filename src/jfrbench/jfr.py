@@ -7,13 +7,19 @@ promotes everything strictly improved this iteration to the next frontier.
 With ``k = 1`` it degenerates to frontier-restricted Bellman-Ford.
 
 ``jfr_pq`` is event-driven: a lazy-deletion priority queue keyed by
-tentative distance selects the next active vertex; a vertex whose label
-changed since its previous selection triggers a depth-``k`` local
-propagation before its out-edges are relaxed; a density-triggered filter
-prunes frontier marks that can no longer matter.
+tentative distance selects the next active vertex, runs one depth-``k``
+local propagation from it, and queues every vertex that propagation
+improved, except one whose out-edges a later wave of the same propagation
+already relaxed at its new label (scan-once: re-scanning at an unchanged
+label cannot improve anything).  Lazy-deletion stale pops and scan-once
+together subsume the paper's frontier filter: a vertex whose label has
+settled is never scanned again, so no periodic sweep for idle vertices is
+needed.
 
-Both modes use strict ``<`` relaxation (first writer wins on ties) and the
-shared instrumentation conventions of :mod:`jfrbench.results`.
+Both modes propagate through :func:`lmh_propagate` over one reusable
+per-solve :class:`LmhWorkspace`, use strict ``<`` relaxation (first writer
+wins on ties) and the shared instrumentation conventions of
+:mod:`jfrbench.results`.
 """
 
 import heapq
@@ -26,69 +32,44 @@ from .graph import Graph
 from .results import RunStats, SsspResult
 
 INF = math.inf
-_FILTER_CHECK_EVERY = 64
 
 
 @dataclass
 class JfrConfig:
     mode: str = "pq-dynamic"  # "strict-k" or "pq-dynamic"
     k: int = 2
-    filter_alpha: float = 0.1
-    stability_window: int = 64
 
     def validate(self) -> None:
         if self.mode not in ("strict-k", "pq-dynamic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 < self.filter_alpha <= 1.0:
-            raise ValueError("filter_alpha must be in (0, 1]")
-        if self.stability_window < 1:
-            raise ValueError("stability_window must be >= 1")
 
 
-class Frontier:
-    """Active-vertex set: membership flags plus a count.
+class LmhWorkspace:
+    """Scratch state of :func:`lmh_propagate`, reused by every call of one
+    solve so that a call allocates no per-vertex set.
 
-    The active list is derived on demand; insert/remove keep the
-    one-entry-per-member invariant by construction.
+    ``window`` and ``mark`` hold stamps from ``clock``, which only grows,
+    so nothing is ever cleared.  A call takes the stamps ``first`` ..
+    ``first + k - 1``: ``window[v] == first`` marks v as in the call's
+    window, and ``mark[v] == first + r`` marks v as improved by wave ``r``
+    (hence queued for wave ``r + 1``); ``mark[v] >= first`` means v
+    improved somewhere in the call.  ``scanned[v]`` is the label at which
+    v's out-edges were last relaxed (NaN, equal to nothing, for never).
     """
 
-    __slots__ = ("membership", "size")
+    __slots__ = ("clock", "window", "mark", "scanned")
 
     def __init__(self, n: int):
-        self.membership = [False] * n
-        self.size = 0
-
-    def insert(self, v: int) -> bool:
-        """Mark ``v`` active; returns True when this is a fresh entry."""
-        if self.membership[v]:
-            return False
-        self.membership[v] = True
-        self.size += 1
-        return True
-
-    def remove(self, v: int) -> None:
-        if self.membership[v]:
-            self.membership[v] = False
-            self.size -= 1
-
-    def active_vertices(self) -> list:
-        return [v for v, m in enumerate(self.membership) if m]
+        self.clock = 0
+        self.window = [0] * n
+        self.mark = [0] * n
+        self.scanned = [math.nan] * n
 
 
-@dataclass
-class FilterAux:
-    """State the stability filter needs besides the frontier and queue."""
-
-    dist: list
-    last_relaxed: list  # label value at the vertex's last out-edge propagation
-    last_improve_pop: list  # selection index of the vertex's last improvement
-    pops: int
-    stability_window: int
-
-
-def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats):
+def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
+                  ws: "LmhWorkspace | None" = None):
     """Bounded local propagation: at most ``k`` relaxation waves from
     ``seeds``, touching only vertices within ``k`` hops of them.
 
@@ -96,48 +77,63 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats):
     improve its endpoint (given the seed labels at call time).  Every
     evaluation is counted in both ``edge_inspections`` and
     ``lmh_inspections``; a ``(depth, inspections, window_degree_sum)``
-    record is appended to ``stats.lmh_calls``.  Returns the strictly
-    improved vertices in first-improvement order.
+    record is appended to ``stats.lmh_calls``, where the window is the
+    finite-label seeds plus every edge target the call touched.  Returns
+    the strictly improved vertices in first-improvement order.  ``ws``
+    carries scratch state between the calls of one solve; without it a
+    fresh one is made.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    if ws is None:
+        ws = LmhWorkspace(g.n)
     offsets, targets, weights = g.offsets, g.targets, g.weights
     if len(stats.improvements) != g.n:
         stats.improvements = [0] * g.n
     improvements = stats.improvements
-    wave = [u for u in seeds if dist[u] != INF]
-    window = set(wave)
+    window, mark, scanned = ws.window, ws.mark, ws.scanned
+    first = ws.clock + 1
+    ws.clock += k
+    wave = []
+    window_degree_sum = 0
+    for u in seeds:
+        if dist[u] != INF:
+            wave.append(u)
+            if window[u] != first:
+                window[u] = first
+                window_degree_sum += offsets[u + 1] - offsets[u]
     improved_all: list = []
-    improved_seen = set()
     inspections = 0
     successes = 0
-    for _round in range(k):
+    for stamp in range(first, first + k):
         if not wave:
             break
         next_wave: list = []
-        next_seen = set()
         for u in wave:
             du = dist[u]
-            for e in range(offsets[u], offsets[u + 1]):
-                inspections += 1
+            scanned[u] = du
+            lo, hi = offsets[u], offsets[u + 1]
+            inspections += hi - lo
+            for e in range(lo, hi):
                 v = targets[e]
-                window.add(v)
+                if window[v] != first:
+                    window[v] = first
+                    window_degree_sum += offsets[v + 1] - offsets[v]
                 cand = du + weights[e]
                 if cand < dist[v]:
                     dist[v] = cand
                     parent[v] = u
                     improvements[v] += 1
                     successes += 1
-                    if v not in improved_seen:
-                        improved_seen.add(v)
-                        improved_all.append(v)
-                    if v not in next_seen:
-                        next_seen.add(v)
+                    mv = mark[v]
+                    if mv != stamp:
+                        if mv < first:
+                            improved_all.append(v)
+                        mark[v] = stamp
                         next_wave.append(v)
         wave = next_wave
-    window_degree_sum = sum(offsets[v + 1] - offsets[v] for v in window)
     stats.edge_inspections += inspections
     stats.lmh_inspections += inspections
     stats.successful_relaxations += successes
@@ -162,6 +158,7 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
         activations=activations,
         improvements=improvements,
     )
+    ws = LmhWorkspace(n)
     dist[source] = 0.0
     frontier = [source]
     activations[source] = 1
@@ -192,7 +189,8 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                         improved.append(v)
         # (b) let the new labels ripple up to k-1 further hops
         if k > 1 and improved:
-            for v in lmh_propagate(g, improved, k - 1, dist, parent, stats):
+            for v in lmh_propagate(g, improved, k - 1, dist, parent, stats,
+                                   ws):
                 if not in_improved[v]:
                     in_improved[v] = True
                     improved.append(v)
@@ -214,27 +212,6 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
 
 
-def filter_stable_vertices(frontier: Frontier, queue, aux: FilterAux) -> None:
-    """Drop frontier marks that can no longer matter.
-
-    A vertex is removed when its label has already been propagated at its
-    current value (so nothing pending can improve anything through it) and
-    it has not improved within the last ``stability_window`` selections.
-    Queue entries for removed vertices are left to drain as stale pops; any
-    later strict improvement re-inserts the vertex, so distances are
-    unaffected.
-    """
-    membership = frontier.membership
-    dist = aux.dist
-    last_relaxed = aux.last_relaxed
-    last_improve_pop = aux.last_improve_pop
-    cutoff = aux.pops - aux.stability_window
-    for v, marked in enumerate(membership):
-        if (marked and last_relaxed[v] == dist[v]
-                and last_improve_pop[v] <= cutoff):
-            frontier.remove(v)
-
-
 def jfr_pq(g: Graph, source: int, cfg: "JfrConfig | None" = None) -> SsspResult:
     """Event-driven jump-frontier relaxation over a lazy priority queue."""
     if cfg is None:
@@ -243,88 +220,49 @@ def jfr_pq(g: Graph, source: int, cfg: "JfrConfig | None" = None) -> SsspResult:
     if cfg.mode != "pq-dynamic":
         raise ValueError("jfr_pq requires pq-dynamic mode")
     check_source(g, source)
-    n = g.n
-    offsets, targets, weights = g.offsets, g.targets, g.weights
+    n, k = g.n, cfg.k
     dist = [INF] * n
     parent: list = [None] * n
     activations = [0] * n
     improvements = [0] * n
     stats = RunStats(
         mode="jfr-pq",
-        k=cfg.k,
+        k=k,
         activations=activations,
         improvements=improvements,
     )
-    nan = math.nan  # never equal to any label: "not yet propagated"
-    last_relaxed = [nan] * n
-    last_improve_pop = [0] * n
-    last_pop_improvements = [-1] * n
-    frontier = Frontier(n)
+    ws = LmhWorkspace(n)
+    scanned = ws.scanned
     dist[source] = 0.0
-    frontier.insert(source)
-    activations[source] = 1
     heap = [(0.0, source)]
     pushes = 1
     pops = 0
     stale = 0
-    inspections = 0
-    successes = 0
     neg_cycle = False
     witness = None
     heappush, heappop = heapq.heappush, heapq.heappop
     t0 = time.perf_counter_ns()
     while heap:
         key, u = heappop(heap)
-        if key != dist[u] or not frontier.membership[u]:
+        if key != dist[u]:
             stale += 1
             continue
-        frontier.remove(u)
         pops += 1
-        # stability criterion: label changed since the previous selection
-        if improvements[u] > last_pop_improvements[u]:
-            for v in lmh_propagate(g, [u], cfg.k, dist, parent, stats):
-                if improvements[v] >= n:
-                    neg_cycle = True
-                    witness = v
-                    break
-                last_improve_pop[v] = pops
-                if frontier.insert(v):
-                    activations[v] += 1
-                heappush(heap, (dist[v], v))
-                pushes += 1
-            if neg_cycle:
+        activations[u] += 1
+        for v in lmh_propagate(g, (u,), k, dist, parent, stats, ws):
+            if improvements[v] >= n:
+                neg_cycle = True
+                witness = v
                 break
-        last_pop_improvements[u] = improvements[u]
-        # relax the selected vertex's out-edges
-        du = dist[u]
-        for e in range(offsets[u], offsets[u + 1]):
-            inspections += 1
-            cand = du + weights[e]
-            v = targets[e]
-            if cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                improvements[v] += 1
-                successes += 1
-                if improvements[v] >= n:
-                    neg_cycle = True
-                    witness = v
-                    break
-                last_improve_pop[v] = pops
-                if frontier.insert(v):
-                    activations[v] += 1
-                heappush(heap, (cand, v))
+            # scan-once: skip v if a later wave of this call already
+            # relaxed its out-edges at its current label
+            dv = dist[v]
+            if dv != scanned[v]:
+                heappush(heap, (dv, v))
                 pushes += 1
-        last_relaxed[u] = du
         if neg_cycle:
             break
-        if pops % _FILTER_CHECK_EVERY == 0 and frontier.size > cfg.filter_alpha * n:
-            aux = FilterAux(dist, last_relaxed, last_improve_pop, pops,
-                            cfg.stability_window)
-            filter_stable_vertices(frontier, heap, aux)
     stats.wall_time_ns = time.perf_counter_ns() - t0
-    stats.edge_inspections += inspections
-    stats.successful_relaxations += successes
     stats.queue_pushes = pushes
     stats.stale_pops = stale
     stats.outer_iterations = pops

@@ -9,8 +9,14 @@ Counting rules (identical across algorithms so ratios are meaningful):
 * ``successful_relaxations`` — inspections that strictly lowered a
   distance; always equals ``sum(improvements)``.
 * ``activations[v]`` — how many times ``v`` entered the active set
-  (frontier entry, queue entry, or per-pass scan, depending on the mode).
-  Stale priority-queue pops are skipped and never counted as activations.
+  (frontier entry, queue entry, or per-pass scan, depending on the mode;
+  for ``jfr_pq``, each non-stale pop, which runs one propagation from
+  ``v``).  Stale priority-queue pops are skipped and never counted as
+  activations.
+* ``stale_pops`` — priority-queue pops whose key is no longer the vertex's
+  label.  ``jfr_pq`` does not queue a vertex whose out-edges its
+  propagation already relaxed at the vertex's final label (scan-once), so
+  such a vertex costs neither a push nor a pop.
 * ``improvements[v]`` — how many times ``d[v]`` strictly decreased.
 """
 

@@ -37,11 +37,14 @@ def oracle_compare(g: Graph, s: int, candidate: SsspResult) -> VerifyReport:
     """Re-solve with Bellman-Ford and compare labels entry by entry.
 
     Fields not exercised by this check (triangle_ok, parent_ok) stay
-    true.  The +inf pattern must match exactly too.
+    true.  The +inf pattern must match exactly too.  When both runs flag a
+    negative cycle their labels are undefined and are not compared.
     """
     oracle = bellman_ford(g, s)
     report = VerifyReport()
     report.neg_cycle_agree = oracle.neg_cycle == candidate.neg_cycle
+    if oracle.neg_cycle and candidate.neg_cycle:
+        return report
     for v, (want, got) in enumerate(zip(oracle.dist, candidate.dist)):
         if want != got:
             report.distances_match = False

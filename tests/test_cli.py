@@ -4,6 +4,8 @@ import json
 import pytest
 
 from jfrbench.cli import main
+from jfrbench.generators import generate, plant_negative_cycle
+from jfrbench.graph import write_file
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,22 @@ def test_run_check_json(capsys, tmp_path):
     assert row["algorithm"] == "jfr-pq"
     assert row["edge_inspections"] > 0
     assert isinstance(row["time_ns"], int)
+
+
+def test_run_jfr_pq_honors_k(capsys, tmp_path):
+    g = gen_graph(capsys, tmp_path, "--family", "neg-dense", "--n", "200",
+                  "--m", "1000", "--seed", "3")
+    ops = {}
+    for k in ("1", "4"):
+        code, out, _ = run_cli(capsys, "run", g, "--algo", "jfr-pq",
+                               "--k", k, "--check")
+        assert code == 0
+        row = json.loads(out)
+        assert row["check"] == "PASS"
+        ops[k] = row["edge_inspections"]
+    assert ops["1"] != ops["4"]
+    code, _, err = run_cli(capsys, "run", g, "--algo", "jfr-pq", "--k", "0")
+    assert code == 1 and "error: k must be >= 1" in err
 
 
 def test_run_unknown_algorithm(capsys, tmp_path):
@@ -234,3 +252,25 @@ def test_verify_wrong_source(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", g, str(result), "--source", "0")
     assert code == 1
     assert not json.loads(out)["distances_match"]
+
+
+def test_verify_accepts_flagged_negative_cycle_result(capsys, tmp_path):
+    base = generate("neg-dense", 5, n=40, m=800, neg_fraction=0.3)
+    g = tmp_path / "g.txt"
+    write_file(str(g), plant_negative_cycle(base, 8, 5, -0.5))
+    result = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "run", str(g), "--algo", "jfr-pq",
+                           "--check", "--out", str(result))
+    assert code == 0 and json.loads(out)["check"] == "PASS"
+    assert json.loads(result.read_text())["neg_cycle"] is True
+    code, out, _ = run_cli(capsys, "verify", str(g), str(result))
+    assert code == 0
+    report = json.loads(out)
+    assert report["neg_cycle_agree"] and report["distances_match"]
+    assert report["first_mismatch"] is None
+    # a flag the oracle does not share is still rejected
+    payload = json.loads(result.read_text())
+    payload["neg_cycle"] = False
+    result.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "verify", str(g), str(result))
+    assert code == 1 and not json.loads(out)["neg_cycle_agree"]

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, potential_graph
-from jfrbench.baselines import bellman_ford
+from jfrbench.baselines import bellman_ford, spfa_slf
 from jfrbench.errors import IndexOutOfRange
-from jfrbench.generators import gen_slf_killer
+from jfrbench.generators import gen_slf_killer, generate
 from jfrbench.graph import EdgeListDoc, from_edge_list
-from jfrbench.jfr import (Frontier, FilterAux, JfrConfig,
-                          filter_stable_vertices, jfr_pq, jfr_strict,
+from jfrbench.jfr import (JfrConfig, LmhWorkspace, jfr_pq, jfr_strict,
                           lmh_propagate)
+from jfrbench.paths import cycle_weight, detect_negative_cycle
 from jfrbench.results import RunStats
 
 INF = math.inf
@@ -81,6 +81,29 @@ def test_lmh_inspection_bound_per_call():
             assert inspections <= depth * window_deg
 
 
+def test_lmh_records_scanned_labels():
+    g = chain(4)
+    dist, parent, stats = fresh_state(4)
+    ws = LmhWorkspace(4)
+    lmh_propagate(g, [0], 2, dist, parent, stats, ws)
+    assert ws.scanned[:2] == [0.0, 1.0]
+    assert all(math.isnan(x) for x in ws.scanned[2:])
+
+
+def test_lmh_shared_workspace_matches_fresh_calls():
+    # stamps left by earlier calls never leak into later ones
+    calls = ((2, [0]), (1, [0, 3]), (3, list(range(0, 30, 4))), (2, [5, 5]),
+             (2, [0]))
+    for seed in range(20):
+        g = potential_graph(30, 150, seed)
+        shared, fresh = fresh_state(30), fresh_state(30)
+        ws = LmhWorkspace(30)
+        for k, seeds in calls:
+            assert (lmh_propagate(g, seeds, k, *shared, ws)
+                    == lmh_propagate(g, seeds, k, *fresh)), (seed, k)
+        assert shared == fresh, seed
+
+
 def test_jfr_strict_chain_k1():
     r = jfr_strict(chain(4), 0, 1)
     assert r.dist == [0.0, 1.0, 2.0, 3.0]
@@ -146,6 +169,16 @@ def test_jfr_strict_activation_bound():
                 assert act <= 1 + -(-imp // k)
 
 
+def test_jfr_strict_counters_pinned():
+    # any change here is a change in what the round-based mode does
+    s = jfr_strict(potential_graph(12, 40, 5), 0, 3).stats
+    assert s.lmh_calls == [(2, 28, 35), (2, 14, 24)]
+    assert s.activations == [1, 2, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1]
+    assert s.improvements == [0, 5, 1, 3, 3, 2, 1, 1, 2, 3, 3, 2]
+    assert (s.edge_inspections, s.lmh_inspections, s.outer_iterations) == \
+        (94, 42, 3)
+
+
 def test_jfr_strict_negative_cycle():
     g = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (1, 2, -1.0),
                                        (2, 3, -1.0), (3, 1, 1.5)]))
@@ -190,17 +223,62 @@ def test_jfr_pq_stats_fields():
     assert s.edge_inspections >= s.lmh_inspections
 
 
-def test_jfr_pq_filter_toggle_is_distance_neutral():
-    on = JfrConfig(filter_alpha=0.1, stability_window=4)
-    off = JfrConfig(filter_alpha=1.0, stability_window=10 ** 9)
+def test_jfr_pq_vertex_scanned_at_its_label_costs_nothing_more():
+    # pop 0 relaxes 0->1, then (wave 2) 1->2 at vertex 1's final label, so
+    # 1 is never queued again: every edge is inspected exactly once
+    r = jfr_pq(chain(6), 0, JfrConfig(k=2))
+    s = r.stats
+    assert r.dist == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert s.edge_inspections == s.lmh_inspections == 5
+    assert s.activations == [1, 0, 1, 0, 1, 0]
+    assert (s.queue_pushes, s.stale_pops, s.outer_iterations) == (3, 0, 3)
+
+
+def test_jfr_pq_scans_each_label_at_most_once():
+    # each scan of v is at a distinct label, the source's 0 or one left by
+    # an improvement, which caps the inspections
     for seed in range(40):
-        g = potential_graph(80, 500, seed)
-        a = jfr_pq(g, 0, on)
-        b = jfr_pq(g, 0, off)
-        assert a.dist == b.dist, seed
-        # the conservative removal rule never cancels pending work, so the
-        # operation counts agree too
-        assert a.stats.edge_inspections == b.stats.edge_inspections, seed
+        g = potential_graph(40, 200, seed)
+        for k in (1, 2, 3):
+            s = jfr_pq(g, 0, JfrConfig(k=k)).stats
+            cap = sum((imp + (v == 0)) * g.out_degree(v)
+                      for v, imp in enumerate(s.improvements))
+            assert s.edge_inspections <= cap, (seed, k)
+
+
+def test_jfr_pq_flags_cycle_that_lowers_the_popped_vertex():
+    # 1 -> 2 -> 1 weighs -2.  With k = 2, popping 2 relaxes 2->1 and then
+    # 1->2, lowering 2 itself, so 2 must be queued and popped again
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -3.0),
+                                       (2, 1, 1.0)]))
+    r = jfr_pq(g, 0, JfrConfig(k=2))
+    assert r.neg_cycle and r.cycle_witness == 1
+    assert r.stats.activations == [1, 0, 2]
+    assert r.stats.improvements[r.cycle_witness] >= g.n
+    assert cycle_weight(g, detect_negative_cycle(r, g)) < 0
+    for k in (1, 3, 4):
+        r = jfr_pq(g, 0, JfrConfig(k=k))
+        assert r.neg_cycle and r.cycle_witness is not None, k
+        assert cycle_weight(g, detect_negative_cycle(r, g)) < 0, k
+
+
+@pytest.mark.parametrize("family, params", [
+    ("neg-dense", {"n": 500, "m": 30000, "neg_fraction": 0.3}),
+    ("sparse-random", {"n": 2000, "m": 10000}),
+])
+def test_jfr_pq_inspects_no_more_than_slf_on_benign_families(family, params):
+    # summed over desk-suite seeds, as the desk table reports them
+    pq = slf = 0
+    for seed in range(42, 52):
+        g = generate(family, seed, **params)
+        pq += jfr_pq(g, 0).stats.edge_inspections
+        slf += spfa_slf(g, 0).stats.edge_inspections
+    assert pq <= slf
+
+
+def test_jfr_pq_slf_killer_inspections_pinned():
+    assert jfr_pq(gen_slf_killer(2000, seed=0), 0).stats.edge_inspections \
+        == 3998
 
 
 def test_jfr_config_validation():
@@ -208,45 +286,6 @@ def test_jfr_config_validation():
         JfrConfig(mode="bogus").validate()
     with pytest.raises(ValueError):
         JfrConfig(k=0).validate()
-    with pytest.raises(ValueError):
-        JfrConfig(filter_alpha=0.0).validate()
-    with pytest.raises(ValueError):
-        JfrConfig(stability_window=0).validate()
-
-
-def test_filter_removes_only_propagated_idle_marks():
-    frontier = Frontier(3)
-    for v in (1, 2):
-        frontier.insert(v)
-    # vertex 1: label propagated at its current value, idle for > window
-    # vertex 2: label changed since last propagation -> must stay
-    aux = FilterAux(dist=[0.0, 5.0, 7.0],
-                    last_relaxed=[math.nan, 5.0, 9.0],
-                    last_improve_pop=[-1, 10, 10],
-                    pops=100, stability_window=64)
-    queue = [(5.0, 1), (7.0, 2)]
-    filter_stable_vertices(frontier, queue, aux)
-    assert frontier.membership == [False, False, True]
-    assert frontier.size == 1
-    assert queue == [(5.0, 1), (7.0, 2)]  # stale entries drain lazily
-
-
-def test_filter_retains_recently_improved_marks():
-    frontier = Frontier(2)
-    frontier.insert(1)
-    aux = FilterAux(dist=[0.0, 5.0], last_relaxed=[math.nan, 5.0],
-                    last_improve_pop=[-1, 90], pops=100, stability_window=64)
-    filter_stable_vertices(frontier, [], aux)
-    assert frontier.membership == [False, True]
-
-
-def test_frontier_insert_remove_invariants():
-    f = Frontier(4)
-    assert f.insert(2) and not f.insert(2)
-    assert f.size == 1
-    f.remove(2)
-    f.remove(2)  # idempotent
-    assert f.size == 0 and f.active_vertices() == []
 
 
 @settings(max_examples=60, deadline=None)
