@@ -11,31 +11,33 @@ Subcommands:
 Determinism: re-running any command with identical flags reproduces the
 operation-count columns byte for byte; only wall times vary.  Instance i
 of every suite entry uses seed = base_seed + i, so any row can be
-regenerated in isolation.  Suite instances may run on worker threads
-(capped by the BENCH_THREADS environment variable); rows are sorted
-before emission so the output never depends on scheduling.
+regenerated in isolation.  Suite instances run one after another, so no
+run's time is inflated by another's.  Every PASS/FAIL is the
+Bellman-Ford oracle's verdict (:func:`jfrbench.verify.oracle_verdict`).
 """
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
 from .generators import add_edges, generate
 from .graph import Graph, read_file, write_file, write_text
-from .jfr import JfrConfig, jfr_pq, jfr_strict
+from .jfr import jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
-from .verify import VerifyReport, check_optimality_conditions, oracle_compare
+from .verify import (check_optimality_conditions, oracle_compare,
+                     oracle_verdict, well_formed_parents)
 
-SCHEMA_TAG = "#schema=1"
+SCHEMA_TAG = "#schema=1"  # suite and sweep-edges rows
+COMPARE_SCHEMA_TAG = "#schema=2"  # compare rows
 ALGORITHMS = ("bf", "spfa", "slf", "jfr-strict", "jfr-pq", "dijkstra")
 
 # Desk-scale default suite: one entry per family, sized to finish in
@@ -66,7 +68,7 @@ def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
     if name == "jfr-strict":
         return jfr_strict(g, source, k)
     if name == "jfr-pq":
-        return jfr_pq(g, source, JfrConfig(k=k))
+        return jfr_pq(g, source, k)
     if name == "dijkstra":
         return dijkstra_oracle(g, source)
     raise UnknownAlgorithm(f"unknown algorithm {name!r}; "
@@ -76,6 +78,8 @@ def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
 def _timed_run(name, g, source, k, repetitions):
     """Run `repetitions` times; return the last result with its wall time
     replaced by the median across runs (counts are identical every run)."""
+    if repetitions < 1:
+        raise SpecInvalid(f"repetitions must be >= 1, got {repetitions}")
     times = []
     result = None
     for _ in range(repetitions):
@@ -85,32 +89,19 @@ def _timed_run(name, g, source, k, repetitions):
     return result
 
 
-def _check_token(candidate, oracle) -> str:
-    if not oracle.neg_cycle == candidate.neg_cycle:
-        return "FAIL"
-    if candidate.neg_cycle:
-        return "PASS"
-    return "PASS" if oracle.dist == candidate.dist else "FAIL"
+def _check(oracle, candidate) -> str:
+    return "PASS" if oracle_verdict(oracle, candidate).ok else "FAIL"
 
 
-def _json_dist(dist):
-    return ["inf" if d == math.inf else d for d in dist]
-
-
-def _result_row(graph_id, family, g, algo, result, check):
-    s = result.stats
-    return {
-        "graph": graph_id,
-        "family": family,
-        "n": g.n,
-        "m": g.m,
-        "algorithm": algo,
-        "time_ns": s.wall_time_ns,
-        "edge_inspections": s.edge_inspections,
-        "successful_relaxations": s.successful_relaxations,
-        "outer_iterations": s.outer_iterations,
-        "check": check,
-    }
+def _write_csv(path, tag, header, rows):
+    """Write the ``#schema`` tag line, the header and the rows to ``path``,
+    or to stdout when ``path`` is None."""
+    with (open(path, "w", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(tag + "\n")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_gen(args) -> int:
@@ -131,20 +122,21 @@ def cmd_run(args) -> int:
     g = read_file(args.graph)
     result = _timed_run(args.algo, g, args.source, args.k, args.repetitions)
     if args.check:
-        check = _check_token(result, bellman_ford(g, args.source))
+        check = _check(bellman_ford(g, args.source), result)
     else:
         check = "SKIPPED"
-    row = _result_row(args.graph, "file", g, args.algo, result, check)
-    print(json.dumps(row))
+    s = result.stats
+    print(json.dumps(dict(
+        graph=args.graph, family="file", n=g.n, m=g.m, algorithm=args.algo,
+        time_ns=s.wall_time_ns, edge_inspections=s.edge_inspections,
+        successful_relaxations=s.successful_relaxations,
+        outer_iterations=s.outer_iterations, check=check)))
     if args.out:
-        payload = {
-            "graph": args.graph,
-            "source": args.source,
-            "algorithm": args.algo,
-            "neg_cycle": result.neg_cycle,
-            "dist": _json_dist(result.dist),
-            "parent": result.parent,
-        }
+        payload = dict(graph=args.graph, source=args.source,
+                       algorithm=args.algo, neg_cycle=result.neg_cycle,
+                       dist=["inf" if d == math.inf else d
+                             for d in result.dist],
+                       parent=result.parent)
         with open(args.out, "w") as fh:
             json.dump(payload, fh)
             fh.write("\n")
@@ -157,18 +149,14 @@ def cmd_compare(args) -> int:
     jfr = _timed_run(args.jfr, g, args.source, args.k, args.repetitions)
     oracle = bellman_ford(g, args.source)
     cm = compare(base.stats, jfr.stats)
-    writer = csv.writer(sys.stdout)
-    print(SCHEMA_TAG)
-    writer.writerow(["graph", "base_algo", "jfr_algo", "ops_base", "ops_jfr",
-                     "time_base_ns", "time_jfr_ns", "rho_ops", "rho_tpr",
-                     "nwr", "predicted_speedup", "observed_speedup",
-                     "check_base", "check_jfr"])
-    writer.writerow([args.graph, args.base, args.jfr, cm.ops_base, cm.ops_jfr,
-                     cm.time_base_ns, cm.time_jfr_ns, f"{cm.rho_ops:.6f}",
-                     f"{cm.rho_tpr:.6f}", f"{cm.nwr:.6f}",
-                     str(cm.predicted_speedup).lower(),
-                     str(cm.observed_speedup).lower(),
-                     _check_token(base, oracle), _check_token(jfr, oracle)])
+    _write_csv(None, COMPARE_SCHEMA_TAG,
+               ["graph", "base_algo", "jfr_algo", "ops_base", "ops_jfr",
+                "time_base_ns", "time_jfr_ns", "rho_ops", "rho_tpr", "nwr",
+                "check_base", "check_jfr"],
+               [[args.graph, args.base, args.jfr, cm.ops_base, cm.ops_jfr,
+                 cm.time_base_ns, cm.time_jfr_ns, f"{cm.rho_ops:.6f}",
+                 f"{cm.rho_tpr:.6f}", f"{cm.nwr:.6f}",
+                 _check(oracle, base), _check(oracle, jfr)]])
     return 0
 
 
@@ -182,19 +170,38 @@ def _load_suite(path):
             raise SpecInvalid(f"suite spec {path}: {exc}") from None
 
 
+def _expect(ok, what, value):
+    if not ok:
+        raise SpecInvalid(f"suite spec: {what}, got {value!r}")
+
+
 def _validate_suite(spec):
-    reps = spec.get("repetitions", 1)
+    _expect(isinstance(spec, dict), "the spec must be a JSON object", spec)
+    for key, default in (("seed", 0), ("repetitions", 1), ("k", 2)):
+        value = spec.get(key, default)
+        _expect(type(value) is int, f"{key!r} must be an integer", value)
+    if spec.get("repetitions", 1) < 1:
+        raise SpecInvalid("repetitions must be >= 1")
     algos = spec.get("algorithms", [])
     entries = spec.get("entries", [])
-    if reps < 1:
-        raise SpecInvalid("repetitions must be >= 1")
+    _expect(isinstance(algos, list), "'algorithms' must be a list", algos)
     if not algos:
         raise SpecInvalid("at least one algorithm must be selected")
     for a in algos:
         if a not in ALGORITHMS:
             raise UnknownAlgorithm(f"unknown algorithm {a!r} in suite spec")
+    _expect(isinstance(entries, list), "'entries' must be a list", entries)
     if not entries:
         raise SpecInvalid("suite has no entries")
+    for entry in entries:
+        _expect(isinstance(entry, dict) and "family" in entry,
+                "each entry must be an object with a 'family'", entry)
+        for key, value in entry.items():
+            kinds = (int,) if key in ("n", "m", "blades", "blade_size") \
+                else (int, float)
+            _expect(key == "family" or value is None or type(value) in kinds,
+                    f"entry {key!r} must be "
+                    f"{' or '.join(t.__name__ for t in kinds)}", value)
 
 
 def _entry_id(entry):
@@ -207,7 +214,8 @@ def _entry_id(entry):
 
 
 def _suite_instance(spec, entry, i):
-    """Run every selected algorithm on instance i of a suite entry."""
+    """Run every selected algorithm on instance i of a suite entry; per
+    algorithm, give its counts and check, or why it was skipped."""
     seed = spec.get("seed", 0) + i
     g = generate(entry["family"], seed, n=entry.get("n"), m=entry.get("m"),
                  weight_lo=entry.get("weight_lo"),
@@ -221,70 +229,40 @@ def _suite_instance(spec, entry, i):
         try:
             result = run_algorithm(algo, g, 0, spec.get("k", 2))
         except NegativeWeightPresent as exc:
-            out[algo] = ("SKIPPED", str(exc))
+            out[algo] = f"SKIPPED: {exc}"
             continue
         s = result.stats
-        out[algo] = ("RAN", (s.wall_time_ns, s.edge_inspections,
-                             s.successful_relaxations, s.outer_iterations,
-                             _check_token(result, oracle)))
+        out[algo] = (s.wall_time_ns, s.edge_inspections,
+                     s.successful_relaxations, s.outer_iterations,
+                     _check(oracle, result))
     return g.n, g.m, out
-
-
-def _thread_count(override):
-    if override:
-        return override
-    env = os.environ.get("BENCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def cmd_suite(args) -> int:
     spec = _load_suite(args.spec)
     _validate_suite(spec)
     reps = spec.get("repetitions", 1)
-    entries = spec["entries"]
-    tasks = [(ei, i) for ei in range(len(entries)) for i in range(reps)]
-    results = {}
-    with ThreadPoolExecutor(max_workers=_thread_count(args.threads)) as pool:
-        futures = {t: pool.submit(_suite_instance, spec, entries[t[0]], t[1])
-                   for t in tasks}
-        for t, fut in futures.items():
-            results[t] = fut.result()
     rows = []
-    for ei, entry in enumerate(entries):
-        n, m, _ = results[(ei, 0)]
+    for entry in spec["entries"]:
+        runs = [_suite_instance(spec, entry, i) for i in range(reps)]
+        n, m, _ = runs[0]
         for algo in spec["algorithms"]:
-            ran = [results[(ei, i)][2][algo] for i in range(reps)]
-            skipped = [r for r in ran if r[0] == "SKIPPED"]
+            vals = [run[2][algo] for run in runs]
+            row = [_entry_id(entry), entry["family"], n, m, algo, reps]
+            skipped = [v for v in vals if isinstance(v, str)]
             if skipped:
-                rows.append([_entry_id(entry), entry["family"], n, m, algo,
-                             reps, "", "", "", "",
-                             f"SKIPPED: {skipped[0][1]}"])
+                rows.append(row + ["", "", "", "", skipped[0]])
                 continue
-            vals = [r[1] for r in ran]
+            median_ns = int(statistics.median(v[0] for v in vals))
+            means = [f"{statistics.fmean(v[c] for v in vals):.1f}"
+                     for c in (1, 2, 3)]
             check = "PASS" if all(v[4] == "PASS" for v in vals) else "FAIL"
-            rows.append([
-                _entry_id(entry), entry["family"], n, m, algo, reps,
-                int(statistics.median(v[0] for v in vals)),
-                f"{statistics.fmean(v[1] for v in vals):.1f}",
-                f"{statistics.fmean(v[2] for v in vals):.1f}",
-                f"{statistics.fmean(v[3] for v in vals):.1f}",
-                check,
-            ])
+            rows.append(row + [median_ns, *means, check])
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out.write(SCHEMA_TAG + "\n")
-        writer = csv.writer(out)
-        writer.writerow(["id", "family", "n", "m", "algorithm", "instances",
-                         "time_ns", "edge_inspections",
-                         "successful_relaxations", "outer_iterations",
-                         "check"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, SCHEMA_TAG,
+               ["id", "family", "n", "m", "algorithm", "instances", "time_ns",
+                "edge_inspections", "successful_relaxations",
+                "outer_iterations", "check"], rows)
     if args.out:
         print(f"wrote {len(rows)} rows -> {args.out}")
     return 0
@@ -319,7 +297,7 @@ def cmd_sweep_edges(args) -> int:
 
     def measure(g, fraction):
         result = run_algorithm(args.algo, g, args.source, args.k)
-        check = _check_token(result, bellman_ford(g, args.source))
+        check = _check(bellman_ford(g, args.source), result)
         rows.append([f"{fraction:.6f}", g.n, g.m, g.m - g0.m,
                      result.stats.wall_time_ns,
                      result.stats.edge_inspections, None, check])
@@ -331,44 +309,57 @@ def cmd_sweep_edges(args) -> int:
     base_ops = rows[0][5]
     for row in rows:
         row[6] = row[5] - base_ops  # delta_ops against the unaugmented run
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out.write(SCHEMA_TAG + "\n")
-        writer = csv.writer(out)
-        writer.writerow(["fraction", "n", "m", "delta_edges", "time_ns",
-                         "edge_inspections", "delta_ops", "check"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, SCHEMA_TAG,
+               ["fraction", "n", "m", "delta_edges", "time_ns",
+                "edge_inspections", "delta_ops", "check"], rows)
     return 0
 
 
-def cmd_verify(args) -> int:
-    g = read_file(args.graph)
-    with open(args.result) as fh:
-        payload = json.load(fh)
-    dist = [math.inf if d == "inf" else float(d) for d in payload["dist"]]
+def _label(d, path):
+    try:
+        return math.inf if d == "inf" else float(d)
+    except (TypeError, ValueError):
+        raise SpecInvalid(f"result file {path}: label {d!r} is not a number "
+                          "or \"inf\"") from None
+
+
+def _load_result(path, g):
+    """Read a ``run --out`` file into (source, candidate result)."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise SpecInvalid(f"result file {path}: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("dist"),
+                                                       list):
+        raise SpecInvalid(f"result file {path}: no \"dist\" label list")
+    dist = [_label(d, path) for d in payload["dist"]]
     if len(dist) != g.n:
         raise SpecInvalid(f"result has {len(dist)} labels, "
                           f"graph has {g.n} vertices")
     parent = payload.get("parent") or [None] * g.n
-    source = args.source if args.source is not None else payload.get("source", 0)
-    candidate = SsspResult(dist=dist, parent=parent,
-                           neg_cycle=bool(payload.get("neg_cycle", False)),
-                           stats=RunStats(mode="external"))
+    if not isinstance(parent, list) or not well_formed_parents(parent, g.n):
+        raise SpecInvalid(f"result file {path}: \"parent\" must list {g.n} "
+                          f"entries, each null or a vertex in [0, {g.n})")
+    source = payload.get("source", 0)
+    if type(source) is not int:
+        raise SpecInvalid(f"result file {path}: bad source {source!r}")
+    return source, SsspResult(dist=dist, parent=parent,
+                              neg_cycle=bool(payload.get("neg_cycle", False)),
+                              stats=RunStats(mode="external"))
+
+
+def cmd_verify(args) -> int:
+    g = read_file(args.graph)
+    source, candidate = _load_result(args.result, g)
+    if args.source is not None:
+        source = args.source
     report = oracle_compare(g, source, candidate)
     if not candidate.neg_cycle:
         audit = check_optimality_conditions(g, source, candidate)
         report.triangle_ok = audit.triangle_ok
         report.parent_ok = audit.parent_ok
-    print(json.dumps({
-        "distances_match": report.distances_match,
-        "triangle_ok": report.triangle_ok,
-        "parent_ok": report.parent_ok,
-        "neg_cycle_agree": report.neg_cycle_agree,
-        "first_mismatch": report.first_mismatch,
-    }))
+    print(json.dumps(dataclasses.asdict(report)))
     return 0 if report.ok else 1
 
 
@@ -413,7 +404,6 @@ def _build_parser():
     p = sub.add_parser("suite", help="run a suite spec (default: desk suite)")
     p.add_argument("spec", nargs="?")
     p.add_argument("-o", "--out")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("sweep-edges",

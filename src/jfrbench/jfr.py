@@ -25,25 +25,12 @@ wins on ties) and the shared instrumentation conventions of
 import heapq
 import math
 import time
-from dataclasses import dataclass
 
 from .baselines import check_source
 from .graph import Graph
 from .results import RunStats, SsspResult
 
 INF = math.inf
-
-
-@dataclass
-class JfrConfig:
-    mode: str = "pq-dynamic"  # "strict-k" or "pq-dynamic"
-    k: int = 2
-
-    def validate(self) -> None:
-        if self.mode not in ("strict-k", "pq-dynamic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 class LmhWorkspace:
@@ -212,15 +199,12 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
 
 
-def jfr_pq(g: Graph, source: int, cfg: "JfrConfig | None" = None) -> SsspResult:
-    """Event-driven jump-frontier relaxation over a lazy priority queue."""
-    if cfg is None:
-        cfg = JfrConfig()
-    cfg.validate()
-    if cfg.mode != "pq-dynamic":
-        raise ValueError("jfr_pq requires pq-dynamic mode")
+def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
+    """Event-driven jump-frontier relaxation with depth parameter ``k``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     check_source(g, source)
-    n, k = g.n, cfg.k
+    n = g.n
     dist = [INF] * n
     parent: list = [None] * n
     activations = [0] * n

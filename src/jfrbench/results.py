@@ -20,7 +20,6 @@ Counting rules (identical across algorithms so ratios are meaningful):
 * ``improvements[v]`` — how many times ``d[v]`` strictly decreased.
 """
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -49,6 +48,3 @@ class SsspResult:
     stats: RunStats
     # vertex whose over-improvement tripped the negative-cycle guard
     cycle_witness: "int | None" = None
-
-    def reachable_mask(self) -> list[bool]:
-        return [d != math.inf for d in self.dist]

@@ -96,8 +96,9 @@ def test_compare_same_algorithm_is_neutral(capsys, tmp_path):
                            "--jfr", "spfa", "--repetitions", "2")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "#schema=1"
+    assert lines[0] == "#schema=2"
     row = dict(zip(*csv.reader(lines[1:3])))
+    assert "predicted_speedup" not in row and "observed_speedup" not in row
     assert float(row["rho_ops"]) == 1.0
     assert float(row["nwr"]) == 1.0
     assert row["check_base"] == row["check_jfr"] == "PASS"
@@ -168,12 +169,6 @@ def test_suite_validation(capsys, tmp_path):
     assert run_cli(capsys, "suite", spec)[0] == 1
     spec = write_suite(tmp_path, algorithms=["bogus"])
     assert run_cli(capsys, "suite", spec)[0] == 1
-
-
-def test_suite_honors_thread_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BENCH_THREADS", "1")
-    spec = write_suite(tmp_path, repetitions=1)
-    assert run_cli(capsys, "suite", spec)[0] == 0
 
 
 def test_sweep_edges_rows(capsys, tmp_path):
@@ -274,3 +269,62 @@ def test_verify_accepts_flagged_negative_cycle_result(capsys, tmp_path):
     result.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "verify", str(g), str(result))
     assert code == 1 and not json.loads(out)["neg_cycle_agree"]
+
+
+
+TRIPLE = "3 2\n0 1 1.0\n1 2 1.0\n"
+GOOD_RESULT = {"source": 0, "neg_cycle": False, "dist": [0.0, 1.0, 2.0],
+               "parent": [None, 0, 1]}
+
+
+def _file_arg(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _suite_with(**overrides):
+    return lambda tmp_path, graph: ["suite", write_suite(tmp_path,
+                                                         **overrides)]
+
+
+def _verify_with(body):
+    text = body if isinstance(body, str) else json.dumps(body)
+    return lambda tmp_path, graph: [
+        "verify", graph, _file_arg(tmp_path, "r.json", text)]
+
+
+MALFORMED = {
+    "run-repetitions-0": lambda tmp_path, graph: [
+        "run", graph, "--algo", "bf", "--repetitions", "0"],
+    "compare-repetitions-0": lambda tmp_path, graph: [
+        "compare", graph, "--repetitions", "0"],
+    "suite-repetitions-string": _suite_with(repetitions="3"),
+    "suite-k-string": _suite_with(k="2"),
+    "suite-entry-n-string": _suite_with(entries=[
+        {"family": "slf-killer", "n": "60"}]),
+    "suite-spec-list": lambda tmp_path, graph: [
+        "suite", _file_arg(tmp_path, "s.json", "[1, 2]")],
+    "verify-not-json": _verify_with("{not json"),
+    "verify-payload-list": _verify_with([0.0, 1.0, 2.0]),
+    "verify-no-dist": _verify_with({"parent": [None, 0, 1]}),
+    "verify-non-numeric-label": _verify_with(
+        {**GOOD_RESULT, "dist": [0.0, "one", 2.0]}),
+    "verify-parent-out-of-range": _verify_with(
+        {**GOOD_RESULT, "parent": [None, 0, 7]}),
+    "verify-parent-wrong-length": _verify_with(
+        {**GOOD_RESULT, "parent": [None, 0]}),
+    "verify-source-string": _verify_with({**GOOD_RESULT, "source": "0"}),
+}
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_fails_closed(capsys, tmp_path, make_argv):
+    graph = _file_arg(tmp_path, "g.txt", TRIPLE)
+    # the well-formed result passes, so each failure below is the input's
+    assert run_cli(capsys, *_verify_with(GOOD_RESULT)(tmp_path, graph))[0] \
+        == 0
+    code, out, err = run_cli(capsys, *make_argv(tmp_path, graph))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""

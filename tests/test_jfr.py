@@ -9,8 +9,7 @@ from jfrbench.baselines import bellman_ford, spfa_slf
 from jfrbench.errors import IndexOutOfRange
 from jfrbench.generators import gen_slf_killer, generate
 from jfrbench.graph import EdgeListDoc, from_edge_list
-from jfrbench.jfr import (JfrConfig, LmhWorkspace, jfr_pq, jfr_strict,
-                          lmh_propagate)
+from jfrbench.jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from jfrbench.paths import cycle_weight, detect_negative_cycle
 from jfrbench.results import RunStats
 
@@ -226,7 +225,7 @@ def test_jfr_pq_stats_fields():
 def test_jfr_pq_vertex_scanned_at_its_label_costs_nothing_more():
     # pop 0 relaxes 0->1, then (wave 2) 1->2 at vertex 1's final label, so
     # 1 is never queued again: every edge is inspected exactly once
-    r = jfr_pq(chain(6), 0, JfrConfig(k=2))
+    r = jfr_pq(chain(6), 0, k=2)
     s = r.stats
     assert r.dist == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     assert s.edge_inspections == s.lmh_inspections == 5
@@ -240,7 +239,7 @@ def test_jfr_pq_scans_each_label_at_most_once():
     for seed in range(40):
         g = potential_graph(40, 200, seed)
         for k in (1, 2, 3):
-            s = jfr_pq(g, 0, JfrConfig(k=k)).stats
+            s = jfr_pq(g, 0, k=k).stats
             cap = sum((imp + (v == 0)) * g.out_degree(v)
                       for v, imp in enumerate(s.improvements))
             assert s.edge_inspections <= cap, (seed, k)
@@ -251,13 +250,13 @@ def test_jfr_pq_flags_cycle_that_lowers_the_popped_vertex():
     # 1->2, lowering 2 itself, so 2 must be queued and popped again
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -3.0),
                                        (2, 1, 1.0)]))
-    r = jfr_pq(g, 0, JfrConfig(k=2))
+    r = jfr_pq(g, 0, k=2)
     assert r.neg_cycle and r.cycle_witness == 1
     assert r.stats.activations == [1, 0, 2]
     assert r.stats.improvements[r.cycle_witness] >= g.n
     assert cycle_weight(g, detect_negative_cycle(r, g)) < 0
     for k in (1, 3, 4):
-        r = jfr_pq(g, 0, JfrConfig(k=k))
+        r = jfr_pq(g, 0, k=k)
         assert r.neg_cycle and r.cycle_witness is not None, k
         assert cycle_weight(g, detect_negative_cycle(r, g)) < 0, k
 
@@ -281,11 +280,11 @@ def test_jfr_pq_slf_killer_inspections_pinned():
         == 3998
 
 
-def test_jfr_config_validation():
+def test_jfr_pq_argument_validation():
     with pytest.raises(ValueError):
-        JfrConfig(mode="bogus").validate()
-    with pytest.raises(ValueError):
-        JfrConfig(k=0).validate()
+        jfr_pq(chain(3), 0, k=0)
+    with pytest.raises(IndexOutOfRange):
+        jfr_pq(chain(3), 3)
 
 
 @settings(max_examples=60, deadline=None)

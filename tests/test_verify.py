@@ -1,13 +1,18 @@
 import math
+from functools import partial
 
 import pytest
 
 from conftest import potential_graph, triangle
-from jfrbench.baselines import bellman_ford
+from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
+                                spfa_slf)
 from jfrbench.errors import NegCycleResult
+from jfrbench.generators import gen_slf_killer
 from jfrbench.graph import EdgeListDoc, from_edge_list
-from jfrbench.jfr import jfr_pq
-from jfrbench.verify import check_optimality_conditions, oracle_compare
+from jfrbench.jfr import jfr_pq, jfr_strict
+from jfrbench.results import RunStats, SsspResult
+from jfrbench.verify import (check_optimality_conditions, oracle_compare,
+                             oracle_verdict)
 
 
 def test_oracle_compare_accepts_oracle_itself():
@@ -86,3 +91,65 @@ def test_cheap_check_soundness_against_oracle():
                   [d == math.inf for d in oracle.dist]
         if audit.triangle_ok and audit.parent_ok and pattern:
             assert candidate.dist == oracle.dist, seed
+
+
+def test_optimality_rejects_parent_cycle():
+    # 1 <-> 2 is a tight zero-weight parent cycle that never reaches 0; the
+    # labels satisfy every triangle inequality, but the true d(1) is 5
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 5.0), (1, 2, 0.0),
+                                       (2, 1, 0.0)]))
+    claim = SsspResult([0.0, -100.0, -100.0], [None, 2, 1], False,
+                       RunStats(mode="external"))
+    report = check_optimality_conditions(g, 0, claim)
+    assert report.triangle_ok and not report.parent_ok
+    # hanging 1 off the source instead breaks no cycle: the edge 0 -> 1 is
+    # not tight, even though 1 has a tight edge from 2
+    claim.parent = [None, 0, 1]
+    report = check_optimality_conditions(g, 0, claim)
+    assert report.triangle_ok and not report.parent_ok
+    assert check_optimality_conditions(g, 0, bellman_ford(g, 0)).ok
+
+
+def test_optimality_rejects_malformed_parents_without_raising():
+    g = triangle()
+    r = bellman_ford(g, 0)
+    for parent in ([None, 0], [None, 0, 1, 2], [None, 0, 3], [None, 0, -1],
+                   [None, 0, 1.0], [None, 0, "1"], [0, 0, 1]):
+        r.parent = parent
+        report = check_optimality_conditions(g, 0, r)
+        assert report.triangle_ok and not report.parent_ok, parent
+
+
+def test_optimality_accepts_every_solver():
+    solvers = [bellman_ford, spfa_fifo, spfa_slf] + [
+        partial(solve, k=k) for solve in (jfr_strict, jfr_pq)
+        for k in (1, 2, 3)]
+    graphs = [potential_graph(60, 300, seed) for seed in range(20)]
+    graphs += [gen_slf_killer(n, seed=seed) for n, seed in ((8, 0), (200, 1))]
+    for i, g in enumerate(graphs):
+        for solve in solvers:
+            report = check_optimality_conditions(g, 0, solve(g, 0))
+            assert report.ok, (i, solve)
+    for seed in range(20):
+        g = potential_graph(60, 300, seed, mixed=False)
+        r = dijkstra_oracle(g, 0)
+        assert check_optimality_conditions(g, 0, r).ok, seed
+
+
+def test_oracle_verdict_skips_labels_of_two_flagged_runs():
+    g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0), (1, 0, -2.0)]))
+    oracle = bellman_ford(g, 0)
+    candidate = jfr_pq(g, 0)
+    candidate.dist = [7.0, 7.0]
+    assert oracle.neg_cycle and oracle_verdict(oracle, candidate).ok
+    candidate.neg_cycle = False
+    report = oracle_verdict(oracle, candidate)
+    assert not report.neg_cycle_agree and not report.ok
+
+
+def test_oracle_verdict_rejects_a_short_label_list():
+    g = triangle()
+    r = bellman_ford(g, 0)
+    r.dist = r.dist[:2]
+    report = oracle_verdict(bellman_ford(g, 0), r)
+    assert not report.distances_match and report.first_mismatch is None
