@@ -16,8 +16,8 @@ from .jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from .metrics import BoundReport, Comparison, bound_check, compare
 from .paths import cycle_weight, detect_negative_cycle, reconstruct_path
 from .results import RunStats, SsspResult
-from .verify import (VerifyReport, check_optimality_conditions, oracle_compare,
-                     oracle_verdict)
+from .verify import (VerifyReport, certify, check_optimality_conditions,
+                     oracle_compare, oracle_verdict)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "NegativeWeightPresent", "NoCycleRecorded", "NonFiniteWeight",
     "ParseError", "PotentialUnavailable", "RunStats", "SpecInvalid",
     "SsspResult", "UnknownAlgorithm", "Unreachable", "VerifyReport",
-    "ZeroOps", "add_edges", "bellman_ford", "bound_check",
+    "ZeroOps", "add_edges", "bellman_ford", "bound_check", "certify",
     "check_optimality_conditions", "compare", "cycle_weight",
     "detect_negative_cycle", "dijkstra_oracle",
     "from_edge_list", "gen_neg_dense", "gen_slf_killer", "gen_sparse_random",

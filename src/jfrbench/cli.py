@@ -13,7 +13,9 @@ operation-count columns byte for byte; only wall times vary.  Instance i
 of every suite entry uses seed = base_seed + i, so any row can be
 regenerated in isolation.  Suite instances run one after another, so no
 run's time is inflated by another's.  Every PASS/FAIL is the
-Bellman-Ford oracle's verdict (:func:`jfrbench.verify.oracle_verdict`).
+Bellman-Ford oracle's verdict (:func:`jfrbench.verify.oracle_verdict`),
+reached by :func:`jfrbench.verify.certify`: a linear certificate stands in
+for the re-solve whenever it vouches for the result.
 """
 
 import argparse
@@ -33,12 +35,20 @@ from .graph import Graph, read_file, write_file, write_text
 from .jfr import jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
-from .verify import (check_optimality_conditions, oracle_compare,
-                     oracle_verdict, well_formed_parents)
+from .verify import certify, well_formed_parents
 
 SCHEMA_TAG = "#schema=1"  # suite and sweep-edges rows
 COMPARE_SCHEMA_TAG = "#schema=2"  # compare rows
 ALGORITHMS = ("bf", "spfa", "slf", "jfr-strict", "jfr-pq", "dijkstra")
+
+SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
+# the generator parameters that each family reads from a suite entry
+ENTRY_KEYS = {
+    "sparse-random": ("n", "m", "weight_lo", "weight_hi"),
+    "neg-dense": ("n", "m", "weight_lo", "weight_hi", "neg_fraction"),
+    "windmill": ("blades", "blade_size", "weight_lo", "weight_hi"),
+    "slf-killer": ("n",),
+}
 
 # Desk-scale default suite: one entry per family, sized to finish in
 # about a minute while still separating the algorithms clearly.
@@ -89,8 +99,18 @@ def _timed_run(name, g, source, k, repetitions):
     return result
 
 
-def _check(oracle, candidate) -> str:
-    return "PASS" if oracle_verdict(oracle, candidate).ok else "FAIL"
+def _check(g, source, result) -> str:
+    """PASS when the oracle would give ``result``'s labels and
+    negative-cycle flag, as :func:`certify` finds without re-solving
+    whenever it can."""
+    report = certify(g, source, result)
+    return "PASS" if report.distances_match and report.neg_cycle_agree \
+        else "FAIL"
+
+
+def _json_label(d):
+    """A label as strict JSON has it: infinities become "inf" / "-inf"."""
+    return "inf" if d == math.inf else "-inf" if d == -math.inf else d
 
 
 def _write_csv(path, tag, header, rows):
@@ -122,7 +142,7 @@ def cmd_run(args) -> int:
     g = read_file(args.graph)
     result = _timed_run(args.algo, g, args.source, args.k, args.repetitions)
     if args.check:
-        check = _check(bellman_ford(g, args.source), result)
+        check = _check(g, args.source, result)
     else:
         check = "SKIPPED"
     s = result.stats
@@ -134,8 +154,7 @@ def cmd_run(args) -> int:
     if args.out:
         payload = dict(graph=args.graph, source=args.source,
                        algorithm=args.algo, neg_cycle=result.neg_cycle,
-                       dist=["inf" if d == math.inf else d
-                             for d in result.dist],
+                       dist=[_json_label(d) for d in result.dist],
                        parent=result.parent)
         with open(args.out, "w") as fh:
             json.dump(payload, fh)
@@ -147,7 +166,6 @@ def cmd_compare(args) -> int:
     g = read_file(args.graph)
     base = _timed_run(args.base, g, args.source, args.k, args.repetitions)
     jfr = _timed_run(args.jfr, g, args.source, args.k, args.repetitions)
-    oracle = bellman_ford(g, args.source)
     cm = compare(base.stats, jfr.stats)
     _write_csv(None, COMPARE_SCHEMA_TAG,
                ["graph", "base_algo", "jfr_algo", "ops_base", "ops_jfr",
@@ -156,7 +174,7 @@ def cmd_compare(args) -> int:
                [[args.graph, args.base, args.jfr, cm.ops_base, cm.ops_jfr,
                  cm.time_base_ns, cm.time_jfr_ns, f"{cm.rho_ops:.6f}",
                  f"{cm.rho_tpr:.6f}", f"{cm.nwr:.6f}",
-                 _check(oracle, base), _check(oracle, jfr)]])
+                 _check(g, args.source, base), _check(g, args.source, jfr)]])
     return 0
 
 
@@ -177,6 +195,9 @@ def _expect(ok, what, value):
 
 def _validate_suite(spec):
     _expect(isinstance(spec, dict), "the spec must be a JSON object", spec)
+    for key in spec:
+        _expect(key in SPEC_KEYS, f"unknown key; choose from "
+                f"{', '.join(SPEC_KEYS)}", key)
     for key, default in (("seed", 0), ("repetitions", 1), ("k", 2)):
         value = spec.get(key, default)
         _expect(type(value) is int, f"{key!r} must be an integer", value)
@@ -196,7 +217,13 @@ def _validate_suite(spec):
     for entry in entries:
         _expect(isinstance(entry, dict) and "family" in entry,
                 "each entry must be an object with a 'family'", entry)
+        family = entry["family"]
+        _expect(isinstance(family, str) and family in ENTRY_KEYS,
+                f"'family' must be one of {', '.join(ENTRY_KEYS)}", family)
         for key, value in entry.items():
+            _expect(key == "family" or key in ENTRY_KEYS[family],
+                    f"a {family} entry takes "
+                    f"{', '.join(ENTRY_KEYS[family])}; unknown key", key)
             kinds = (int,) if key in ("n", "m", "blades", "blade_size") \
                 else (int, float)
             _expect(key == "family" or value is None or type(value) in kinds,
@@ -223,7 +250,6 @@ def _suite_instance(spec, entry, i):
                  neg_fraction=entry.get("neg_fraction", 0.3),
                  blades=entry.get("blades"),
                  blade_size=entry.get("blade_size"))
-    oracle = bellman_ford(g, 0)
     out = {}
     for algo in spec["algorithms"]:
         try:
@@ -234,7 +260,7 @@ def _suite_instance(spec, entry, i):
         s = result.stats
         out[algo] = (s.wall_time_ns, s.edge_inspections,
                      s.successful_relaxations, s.outer_iterations,
-                     _check(oracle, result))
+                     _check(g, 0, result))
     return g.n, g.m, out
 
 
@@ -297,7 +323,7 @@ def cmd_sweep_edges(args) -> int:
 
     def measure(g, fraction):
         result = run_algorithm(args.algo, g, args.source, args.k)
-        check = _check(bellman_ford(g, args.source), result)
+        check = _check(g, args.source, result)
         rows.append([f"{fraction:.6f}", g.n, g.m, g.m - g0.m,
                      result.stats.wall_time_ns,
                      result.stats.edge_inspections, None, check])
@@ -316,11 +342,15 @@ def cmd_sweep_edges(args) -> int:
 
 
 def _label(d, path):
+    if d in ("inf", "-inf"):
+        return float(d)
     try:
-        return math.inf if d == "inf" else float(d)
-    except (TypeError, ValueError):
-        raise SpecInvalid(f"result file {path}: label {d!r} is not a number "
-                          "or \"inf\"") from None
+        if type(d) in (int, float) and d == d:  # not NaN
+            return float(d)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise SpecInvalid(f"result file {path}: label {d!r} is not a number, "
+                      "\"inf\" or \"-inf\"")
 
 
 def _load_result(path, g):
@@ -337,15 +367,20 @@ def _load_result(path, g):
     if len(dist) != g.n:
         raise SpecInvalid(f"result has {len(dist)} labels, "
                           f"graph has {g.n} vertices")
-    parent = payload.get("parent") or [None] * g.n
+    parent = payload.get("parent")
+    if parent is None:
+        parent = [None] * g.n
     if not isinstance(parent, list) or not well_formed_parents(parent, g.n):
         raise SpecInvalid(f"result file {path}: \"parent\" must list {g.n} "
                           f"entries, each null or a vertex in [0, {g.n})")
     source = payload.get("source", 0)
     if type(source) is not int:
         raise SpecInvalid(f"result file {path}: bad source {source!r}")
-    return source, SsspResult(dist=dist, parent=parent,
-                              neg_cycle=bool(payload.get("neg_cycle", False)),
+    neg_cycle = payload.get("neg_cycle", False)
+    if type(neg_cycle) is not bool:
+        raise SpecInvalid(f"result file {path}: \"neg_cycle\" must be true "
+                          f"or false, got {neg_cycle!r}")
+    return source, SsspResult(dist=dist, parent=parent, neg_cycle=neg_cycle,
                               stats=RunStats(mode="external"))
 
 
@@ -354,11 +389,10 @@ def cmd_verify(args) -> int:
     source, candidate = _load_result(args.result, g)
     if args.source is not None:
         source = args.source
-    report = oracle_compare(g, source, candidate)
-    if not candidate.neg_cycle:
-        audit = check_optimality_conditions(g, source, candidate)
-        report.triangle_ok = audit.triangle_ok
-        report.parent_ok = audit.parent_ok
+    report = certify(g, source, candidate)
+    if report.first_mismatch is not None:
+        v, want, got = report.first_mismatch
+        report.first_mismatch = (v, _json_label(want), _json_label(got))
     print(json.dumps(dataclasses.asdict(report)))
     return 0 if report.ok else 1
 

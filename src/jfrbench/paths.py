@@ -48,28 +48,8 @@ def cycle_weight(g: Graph, cycle: list) -> float:
     return total
 
 
-def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
-    """Extract a strictly negative cycle from an over-improved run.
-
-    Walks parent pointers ``n`` steps back from the vertex that tripped the
-    negative-cycle guard; after ``n`` steps the walk must sit inside a
-    cycle of the parent graph, which is then peeled off and returned in
-    forward edge order.
-    """
-    if not result.neg_cycle:
-        raise NoCycleRecorded("result does not flag a negative cycle")
-    parent = result.parent
-    witness = result.cycle_witness
-    if witness is None:
-        # fall back to the most-improved vertex
-        imp = result.stats.improvements
-        witness = max(range(len(imp)), key=imp.__getitem__)
-    x = witness
-    for _ in range(g.n):
-        nxt = parent[x]
-        if nxt is None:
-            raise RuntimeError("parent walk left the improved region")
-        x = nxt
+def _peel_cycle(parent: list, x: int) -> list:
+    """The parent cycle through ``x``, in forward edge order."""
     backward = [x]
     cur = parent[x]
     while cur != x:
@@ -77,3 +57,50 @@ def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
         cur = parent[cur]
     backward.reverse()
     return backward
+
+
+def parent_cycles(parent: list) -> list:
+    """Every cycle of the parent graph, each in forward edge order.
+
+    Each vertex has at most one parent, so the cycles are disjoint.  One
+    walk per start vertex stops at the first vertex any walk has already
+    stepped through; a walk that stops on its own chain has met a cycle.
+    Every vertex is stepped through once: O(n).
+    """
+    walk = [-1] * len(parent)  # the start vertex of the walk through v
+    cycles = []
+    for start in range(len(parent)):
+        v = start
+        while v is not None and walk[v] < 0:
+            walk[v] = start
+            v = parent[v]
+        if v is not None and walk[v] == start:
+            cycles.append(_peel_cycle(parent, v))
+    return cycles
+
+
+def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
+    """Extract a cycle from the parent pointers of an over-improved run.
+
+    Walks parent pointers ``n`` steps back from the vertex that tripped the
+    negative-cycle guard; after ``n`` steps the walk must sit inside a
+    cycle of the parent graph, which is then peeled off and returned in
+    forward edge order.  A result without that witness (one read from a
+    file, say) gives the first cycle of its parent graph; weigh it with
+    :func:`cycle_weight`.
+    """
+    if not result.neg_cycle:
+        raise NoCycleRecorded("result does not flag a negative cycle")
+    parent = result.parent
+    x = result.cycle_witness
+    if x is None:
+        cycles = parent_cycles(parent)
+        if not cycles:
+            raise NoCycleRecorded("the parent pointers hold no cycle")
+        return cycles[0]
+    for _ in range(g.n):
+        nxt = parent[x]
+        if nxt is None:
+            raise RuntimeError("parent walk left the improved region")
+        x = nxt
+    return _peel_cycle(parent, x)

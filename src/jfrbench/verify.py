@@ -1,5 +1,8 @@
-"""Independent correctness checks: a ground-truth oracle comparison and a
-cheap fixed-point audit that needs no second solver run.
+"""Independent correctness checks: a ground-truth oracle comparison, a
+cheap fixed-point audit that needs no second solver run, and
+:func:`certify`, which reaches the oracle's verdict through the audit or
+a negative parent cycle and re-solves only when neither vouches for the
+result.
 
 Exact float equality is the right comparison here: every solver in this
 package computes each final label as the minimum over paths of the same
@@ -9,11 +12,13 @@ edges plus a tree of tight parent edges rooted at the source) is the
 authority for results imported from outside the package.
 """
 
+import sys
 from dataclasses import dataclass
 
-from .baselines import bellman_ford
+from .baselines import bellman_ford, check_source
 from .errors import NegCycleResult
 from .graph import Graph
+from .paths import cycle_weight, parent_cycles
 from .results import SsspResult
 
 _INF = float("inf")
@@ -71,18 +76,22 @@ def check_optimality_conditions(g: Graph, s: int,
     O(n + m).
 
     triangle_ok: no edge can still improve its head.  parent_ok: the
-    parent list has one entry per vertex, each None or a vertex; dist[s]
-    is 0 and s has no parent; and every finite-label vertex reaches s
-    through parent edges that exist in the graph and are tight.  Together
-    the two flags prove the labels optimal: each is the weight of a real
-    path, and no path is shorter.  Raises NegCycleResult when the result
-    carries a negative-cycle flag (its labels are not a fixed point).
+    label and parent lists have one entry per vertex, each parent None or
+    a vertex; dist[s] is 0 and s has no parent; and every finite-label
+    vertex reaches s through parent edges that exist in the graph and are
+    tight.  Together the two flags prove the labels optimal: each is the
+    weight of a real path, and no path is shorter.  Raises NegCycleResult
+    when the result carries a negative-cycle flag (its labels are not a
+    fixed point), and IndexOutOfRange for a source outside [0, n).
     """
     if result.neg_cycle:
         raise NegCycleResult("cannot audit optimality of a run that "
                              "detected a negative cycle")
+    check_source(g, s)
     dist, parent = result.dist, result.parent
     n = g.n
+    if len(dist) != n:
+        return VerifyReport(parent_ok=False)
     offsets, targets, weights = g.offsets, g.targets, g.weights
     parent_ok = (well_formed_parents(parent, n) and dist[s] == 0.0
                  and parent[s] is None)
@@ -118,4 +127,83 @@ def check_optimality_conditions(g: Graph, s: int,
         if (walk[v] < 0 and dist[v] != _INF) or walk[v] == start:
             report.parent_ok = False
             break
+    return report
+
+
+def _reachable(g: Graph, s: int) -> list:
+    """Which vertices a path from ``s`` reaches, in O(n + m)."""
+    seen = [False] * g.n
+    seen[s] = True
+    stack = [s]
+    offsets, targets = g.offsets, g.targets
+    while stack:
+        u = stack.pop()
+        for v in targets[offsets[u]:offsets[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+def _flag_certified(g: Graph, s: int, parent: list) -> bool:
+    """Whether ``parent`` holds a cycle that proves Bellman-Ford flags a
+    negative cycle from ``s``: its edges exist, ``s`` reaches it, and its
+    weight is negative beyond float rounding.
+
+    Bellman-Ford's labels are float sums along walks of at most n*m edges,
+    so |label| <= 2*n*m*wmax.  Were one of its n passes a fixed point, each
+    of the cycle's k edges would give d[v] <= fl(d[u] + w), which rounds
+    by at most u*(|label| + wmax) with u = eps/2; summed around the cycle,
+    and with the rounding of the cycle's own float sum, that needs a
+    weight of at least -k*eps*wmax*n*(m + 2).  A lighter cycle leaves no
+    pass without an improvement, so the n-th pass improves and flags.
+    """
+    cycles = parent_cycles(parent)
+    if not cycles:
+        return False
+    scale = g.n * (g.m + 2) * max(map(abs, g.weights), default=0.0)
+    if not scale < 1e300:  # labels could overflow to -inf and settle
+        return False
+    reach = None
+    for cycle in cycles:
+        try:
+            weight = cycle_weight(g, cycle)
+        except RuntimeError:  # a parent edge the graph does not have
+            continue
+        if weight < -len(cycle) * scale * sys.float_info.epsilon:
+            if reach is None:
+                reach = _reachable(g, s)
+            if reach[cycle[0]]:
+                return True
+    return False
+
+
+def certify(g: Graph, s: int, result: SsspResult) -> VerifyReport:
+    """The report of :func:`oracle_compare`, plus the audit's triangle_ok
+    and parent_ok for an unflagged result, without re-solving whenever a
+    linear certificate vouches for the result.
+
+    Unflagged: a passing audit proves that Bellman-Ford returns exactly
+    these labels and does not flag.  Float addition is monotone, so its
+    labels never drop below a triangle-consistent L with L[s] = 0, and
+    within n - 1 passes they reach the sums along L's tight tree paths.
+    Flagged: a negative parent cycle that ``s`` reaches
+    (:func:`_flag_certified`) proves that Bellman-Ford flags too.  Any
+    other result, wrong or with parents the certificate cannot follow, is
+    judged by :func:`oracle_compare`, so the verdict is the oracle's on
+    every input.
+    """
+    check_source(g, s)
+    audit = None
+    if not result.neg_cycle:
+        audit = check_optimality_conditions(g, s, result)
+        if audit.ok:
+            return audit
+    elif (well_formed_parents(result.parent, g.n)
+          and _flag_certified(g, s, result.parent)):
+        return VerifyReport()
+    report = oracle_compare(g, s, result)
+    if audit is not None:
+        report.triangle_ok = audit.triangle_ok
+        report.parent_ok = audit.parent_ok
     return report

@@ -1,6 +1,8 @@
 import random
 
+from jfrbench.baselines import bellman_ford
 from jfrbench.graph import EdgeListDoc, from_edge_list
+from jfrbench.verify import check_optimality_conditions, oracle_verdict
 
 
 def potential_graph(n, m, seed, mixed=True):
@@ -35,3 +37,15 @@ def chain(length, weight=1.0):
     return from_edge_list(EdgeListDoc(length,
                                       [(i, i + 1, weight)
                                        for i in range(length - 1)]))
+
+
+def rule_before_certify(g, s, r):
+    """The verdict every check gave before ``certify``: a Bellman-Ford
+    re-solve judged by ``oracle_verdict``, plus the audit's flags on an
+    unflagged result."""
+    report = oracle_verdict(bellman_ford(g, s), r)
+    if not r.neg_cycle:
+        audit = check_optimality_conditions(g, s, r)
+        report.triangle_ok = audit.triangle_ok
+        report.parent_ok = audit.parent_ok
+    return report

@@ -1,17 +1,34 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import rule_before_certify
+from jfrbench.baselines import bellman_ford
 from jfrbench.cli import main
 from jfrbench.generators import generate, plant_negative_cycle
-from jfrbench.graph import write_file
+from jfrbench.graph import from_edge_list, read_text, write_file
+from jfrbench.results import RunStats, SsspResult
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """Parse CLI JSON output, refusing NaN and the infinities."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def gen_graph(capsys, tmp_path, *argv):
@@ -51,7 +68,7 @@ def test_run_check_json(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", g, "--algo", "jfr-pq",
                            "--check", "--repetitions", "3")
     assert code == 0
-    row = json.loads(out)
+    row = strict_json(out)
     assert row["check"] == "PASS"
     assert row["n"] == 60 and row["m"] == 300
     assert row["algorithm"] == "jfr-pq"
@@ -67,7 +84,7 @@ def test_run_jfr_pq_honors_k(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "run", g, "--algo", "jfr-pq",
                                "--k", k, "--check")
         assert code == 0
-        row = json.loads(out)
+        row = strict_json(out)
         assert row["check"] == "PASS"
         ops[k] = row["edge_inspections"]
     assert ops["1"] != ops["4"]
@@ -216,7 +233,7 @@ def test_verify_round_trip(capsys, tmp_path):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", g, str(result))
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["distances_match"] and report["triangle_ok"]
 
 
@@ -226,14 +243,14 @@ def test_verify_flags_tampered_result(capsys, tmp_path):
     result = tmp_path / "r.json"
     assert run_cli(capsys, "run", g, "--algo", "bf",
                    "--out", str(result))[0] == 0
-    payload = json.loads(result.read_text())
+    payload = strict_json(result.read_text())
     finite = next(i for i, d in enumerate(payload["dist"])
                   if d != "inf" and i != 0)
     payload["dist"][finite] = float(payload["dist"][finite]) + 0.5
     result.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "verify", g, str(result))
     assert code == 1
-    report = json.loads(out)
+    report = strict_json(out)
     assert not report["distances_match"]
     assert report["first_mismatch"][0] == finite
 
@@ -246,7 +263,7 @@ def test_verify_wrong_source(capsys, tmp_path):
                    "--out", str(result))[0] == 0
     code, out, _ = run_cli(capsys, "verify", g, str(result), "--source", "0")
     assert code == 1
-    assert not json.loads(out)["distances_match"]
+    assert not strict_json(out)["distances_match"]
 
 
 def test_verify_accepts_flagged_negative_cycle_result(capsys, tmp_path):
@@ -256,19 +273,36 @@ def test_verify_accepts_flagged_negative_cycle_result(capsys, tmp_path):
     result = tmp_path / "r.json"
     code, out, _ = run_cli(capsys, "run", str(g), "--algo", "jfr-pq",
                            "--check", "--out", str(result))
-    assert code == 0 and json.loads(out)["check"] == "PASS"
-    assert json.loads(result.read_text())["neg_cycle"] is True
+    assert code == 0 and strict_json(out)["check"] == "PASS"
+    assert strict_json(result.read_text())["neg_cycle"] is True
     code, out, _ = run_cli(capsys, "verify", str(g), str(result))
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["neg_cycle_agree"] and report["distances_match"]
     assert report["first_mismatch"] is None
     # a flag the oracle does not share is still rejected
-    payload = json.loads(result.read_text())
+    payload = strict_json(result.read_text())
     payload["neg_cycle"] = False
     result.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "verify", str(g), str(result))
-    assert code == 1 and not json.loads(out)["neg_cycle_agree"]
+    assert code == 1 and not strict_json(out)["neg_cycle_agree"]
+
+
+def test_verify_prints_infinite_labels_as_strings(capsys, tmp_path):
+    graph = tmp_path / "chain.txt"
+    graph.write_text("3 2\n0 1 1.0\n1 2 1.0\n")
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps({"dist": [0.0, "inf", "-inf"],
+                                  "parent": [None, None, None]}))
+    code, out, _ = run_cli(capsys, "verify", str(graph), str(result))
+    assert code == 1
+    assert strict_json(out)["first_mismatch"] == [1, 1.0, "inf"]
+    graph.write_text("3 1\n0 1 1.0\n")
+    result.write_text(json.dumps({"dist": [0.0, 1.0, 5.0],
+                                  "parent": [None, 0, None]}))
+    code, out, _ = run_cli(capsys, "verify", str(graph), str(result))
+    assert code == 1
+    assert strict_json(out)["first_mismatch"] == [2, "inf", 5.0]
 
 
 
@@ -305,6 +339,15 @@ MALFORMED = {
         {"family": "slf-killer", "n": "60"}]),
     "suite-spec-list": lambda tmp_path, graph: [
         "suite", _file_arg(tmp_path, "s.json", "[1, 2]")],
+    "suite-unknown-key": _suite_with(threads=2),
+    "suite-entry-misspelled-key": _suite_with(entries=[
+        {"family": "neg-dense", "n": 40, "m": 200, "neg_fracton": 0.9}]),
+    "suite-entry-unknown-key": _suite_with(entries=[
+        {"family": "slf-killer", "n": 60, "bogus": 1}]),
+    "suite-entry-key-of-another-family": _suite_with(entries=[
+        {"family": "slf-killer", "n": 60, "neg_fraction": 0.5}]),
+    "suite-entry-family-list": _suite_with(entries=[
+        {"family": ["slf-killer"], "n": 60}]),
     "verify-not-json": _verify_with("{not json"),
     "verify-payload-list": _verify_with([0.0, 1.0, 2.0]),
     "verify-no-dist": _verify_with({"parent": [None, 0, 1]}),
@@ -314,7 +357,19 @@ MALFORMED = {
         {**GOOD_RESULT, "parent": [None, 0, 7]}),
     "verify-parent-wrong-length": _verify_with(
         {**GOOD_RESULT, "parent": [None, 0]}),
+    "verify-parent-empty": _verify_with({**GOOD_RESULT, "parent": []}),
+    "verify-parent-false": _verify_with({**GOOD_RESULT, "parent": False}),
     "verify-source-string": _verify_with({**GOOD_RESULT, "source": "0"}),
+    "verify-nan-label": _verify_with(
+        {**GOOD_RESULT, "dist": [0.0, "nan", 2.0]}),
+    "verify-string-number-label": _verify_with(
+        {**GOOD_RESULT, "dist": [0.0, "1.0", 2.0]}),
+    "verify-bool-label": _verify_with(
+        {**GOOD_RESULT, "dist": [0.0, True, 2.0]}),
+    "verify-label-past-float-range": _verify_with(
+        '{"dist": [0.0, 1%s, 2.0]}' % ("0" * 400)),
+    "verify-neg-cycle-string": _verify_with(
+        {**GOOD_RESULT, "neg_cycle": "false"}),
 }
 
 
@@ -328,3 +383,89 @@ def test_malformed_input_fails_closed(capsys, tmp_path, make_argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+# Fuzz graphs: a feasible one with a zero-weight cycle and a vertex the
+# source cannot reach; one with a reachable negative cycle (and a second
+# one out of reach); one whose only negative cycle is out of reach.
+FUZZ_GRAPHS = {
+    "feasible": "5 6\n0 1 2.0\n1 2 -1.0\n0 2 5.0\n2 3 0.0\n3 2 0.0\n"
+                "4 0 1.0\n",
+    "reachable-cycle": "5 5\n0 1 1.0\n1 2 -2.0\n2 1 1.0\n3 4 -1.0\n"
+                       "4 3 -1.0\n",
+    "unreachable-cycle": "4 3\n0 1 1.0\n2 3 -1.0\n3 2 -1.0\n",
+}
+JUNK = st.one_of(
+    st.floats(), st.integers(), st.none(), st.booleans(),
+    st.sampled_from(["inf", "-inf", "nan", "1.5", "x", "", [], {}, [0.0]]))
+
+
+def fuzz_graph(name):
+    return from_edge_list(read_text(FUZZ_GRAPHS[name].encode("ascii")))
+
+
+def mixed_list(draw, correct, wrong):
+    """Mostly ``correct`` with a few entries swapped for ``wrong`` or junk
+    draws; now and then a list of wrong length, or junk."""
+    shape = draw(st.sampled_from(["mixed"] * 8 + ["length", "junk"]))
+    if shape == "junk":
+        return draw(JUNK)
+    if shape == "length":
+        return draw(st.lists(wrong, max_size=len(correct) + 1).filter(
+            lambda entries: len(entries) != len(correct)))
+    pick = st.sampled_from(["keep"] * 6 + ["wrong", "wrong", "junk"])
+    return [c if kind == "keep" else draw(wrong if kind == "wrong" else JUNK)
+            for c, kind in ((c, draw(pick)) for c in correct)]
+
+
+@st.composite
+def result_payloads(draw):
+    """A fuzz graph's name and a result payload built around the oracle's
+    labels and parents."""
+    name = draw(st.sampled_from(sorted(FUZZ_GRAPHS)))
+    oracle = bellman_ford(fuzz_graph(name), 0)
+    n = len(oracle.dist)
+    payload = {"neg_cycle": draw(st.booleans()), "dist": mixed_list(
+        draw, ["inf" if d == math.inf else d for d in oracle.dist],
+        st.one_of(st.floats(-3, 6), st.just("inf")))}
+    if draw(st.booleans()):
+        payload["parent"] = mixed_list(draw, oracle.parent,
+                                       st.one_of(st.none(),
+                                                 st.integers(-1, n)))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        payload["source"] = draw(st.one_of(st.integers(-1, n), JUNK))
+    return name, payload
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=result_payloads())
+def test_verify_fuzz_ends_in_a_verdict_or_a_one_line_error(tmp_path, case):
+    name, payload = case
+    graph = tmp_path / f"{name}.txt"
+    graph.write_text(FUZZ_GRAPHS[name])
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(graph), str(result)])
+    out, err = out.getvalue(), err.getvalue()
+    if not out:
+        assert code == 1 and err.startswith("error: ") \
+            and err.count("\n") == 1, (code, err)
+        return
+    assert code in (0, 1) and err == ""
+    report = strict_json(out)
+    # the verdict the checks gave before certify, on the result as loaded
+    g = fuzz_graph(name)
+    dist = [float(d) for d in payload["dist"]]
+    parent = payload.get("parent")
+    candidate = SsspResult(dist, [None] * g.n if parent is None else parent,
+                           payload["neg_cycle"], RunStats(mode="external"))
+    want = rule_before_certify(g, payload.get("source", 0), candidate)
+    if want.first_mismatch is not None:
+        v, a, b = want.first_mismatch
+        want.first_mismatch = [v] + [x if math.isfinite(x) else str(x)
+                                     for x in (a, b)]
+    assert report == json.loads(json.dumps(want.__dict__))
+    assert code == (0 if want.ok else 1)

@@ -8,7 +8,9 @@ from jfrbench.errors import NoCycleRecorded, Unreachable
 from jfrbench.generators import GenSpec, gen_sparse_random, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
-from jfrbench.paths import cycle_weight, detect_negative_cycle, reconstruct_path
+from jfrbench.paths import (cycle_weight, detect_negative_cycle,
+                            parent_cycles, reconstruct_path)
+from jfrbench.results import RunStats, SsspResult
 
 
 def test_reconstruct_triangle_path():
@@ -83,3 +85,25 @@ def test_detect_negative_cycle_all_solvers():
             assert len(cycle) >= 2
             assert len(set(cycle)) == len(cycle)  # simple cycle
             assert cycle_weight(g, cycle) < 0
+
+
+def test_parent_cycles_finds_each_disjoint_cycle_once():
+    # edges parent[v] -> v: the cycle 1 -> 2 -> 3 -> 1 with 2 -> 4 hanging
+    # off it, the self-loop 5 -> 5 with 5 -> 6, and the root 0 with 0 -> 7
+    parent = [None, 3, 1, 2, 2, 5, 5, 0]
+    assert parent_cycles(parent) == [[2, 3, 1], [5]]
+    assert parent_cycles([None, 0, 1]) == []
+    assert parent_cycles([]) == []
+
+
+def test_detect_without_witness_walks_the_parent_graph():
+    # a result read from a file carries no witness and no improvement counts
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -2.0),
+                                       (2, 1, 1.0)]))
+    loaded = SsspResult([0.0, 0.0, 0.0], [None, 2, 1], True,
+                        RunStats(mode="external"))
+    cycle = detect_negative_cycle(loaded, g)
+    assert sorted(cycle) == [1, 2] and cycle_weight(g, cycle) < 0
+    loaded.parent = [None, 0, 1]
+    with pytest.raises(NoCycleRecorded):
+        detect_negative_cycle(loaded, g)

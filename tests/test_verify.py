@@ -1,18 +1,24 @@
+import csv
+import json
 import math
+import random
 from functools import partial
 
 import pytest
 
-from conftest import potential_graph, triangle
+from conftest import potential_graph, rule_before_certify, triangle
+from jfrbench import verify
 from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
                                 spfa_slf)
-from jfrbench.errors import NegCycleResult
-from jfrbench.generators import gen_slf_killer
-from jfrbench.graph import EdgeListDoc, from_edge_list
+from jfrbench.cli import main
+from jfrbench.errors import IndexOutOfRange, NegCycleResult
+from jfrbench.generators import (gen_slf_killer, generate,
+                                 plant_negative_cycle)
+from jfrbench.graph import EdgeListDoc, from_edge_list, write_file
 from jfrbench.jfr import jfr_pq, jfr_strict
 from jfrbench.results import RunStats, SsspResult
-from jfrbench.verify import (check_optimality_conditions, oracle_compare,
-                             oracle_verdict)
+from jfrbench.verify import (certify, check_optimality_conditions,
+                             oracle_compare, oracle_verdict)
 
 
 def test_oracle_compare_accepts_oracle_itself():
@@ -153,3 +159,206 @@ def test_oracle_verdict_rejects_a_short_label_list():
     r.dist = r.dist[:2]
     report = oracle_verdict(bellman_ford(g, 0), r)
     assert not report.distances_match and report.first_mismatch is None
+
+
+def test_optimality_rejects_a_label_list_of_the_wrong_length():
+    g = triangle()
+    r = bellman_ford(g, 0)
+    for dist in (r.dist[:2], r.dist + [0.0]):
+        r.dist = dist
+        report = check_optimality_conditions(g, 0, r)
+        assert not report.ok and not report.parent_ok, dist
+
+
+def test_optimality_rejects_a_source_out_of_range():
+    g = triangle()
+    for s in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            check_optimality_conditions(g, s, bellman_ford(g, 0))
+
+
+# --- certify: the oracle's verdict, by certificate where one applies ---
+
+SOLVERS = [bellman_ford, spfa_fifo, spfa_slf] + [
+    partial(solve, k=k) for solve in (jfr_strict, jfr_pq) for k in (1, 2)]
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """The sources of the Bellman-Ford re-solves that verify makes."""
+    calls = []
+
+    def counted(g, s):
+        calls.append(s)
+        return bellman_ford(g, s)
+
+    monkeypatch.setattr(verify, "bellman_ford", counted)
+    return calls
+
+
+def planted_graph(seed):
+    base = generate("neg-dense", seed, n=40, m=300, neg_fraction=0.3)
+    return plant_negative_cycle(base, 3 + seed % 5, seed, -0.5)
+
+
+def seeded_graphs():
+    graphs = [potential_graph(50, 250, seed) for seed in range(12)]
+    graphs += [gen_slf_killer(n, seed=seed) for n, seed in ((8, 0), (120, 1))]
+    graphs += [planted_graph(seed) for seed in range(8)]
+    return graphs
+
+
+def test_certify_vouches_for_every_solver_without_resolving(resolves):
+    for i, g in enumerate(seeded_graphs()):
+        for solve in SOLVERS:
+            r = solve(g, 0)
+            report = certify(g, 0, r)
+            assert report.ok, (i, solve)
+            assert report == rule_before_certify(g, 0, r), (i, solve)
+    for seed in range(6):
+        g = potential_graph(50, 250, seed, mixed=False)
+        r = dijkstra_oracle(g, 0)
+        assert certify(g, 0, r) == rule_before_certify(g, 0, r)
+    assert resolves == []
+
+
+def mutants(g, r, rng):
+    """Copies of ``r`` with one label, parent or flag changed."""
+    def copy(**changes):
+        fields = dict(dist=list(r.dist), parent=list(r.parent),
+                      neg_cycle=r.neg_cycle, stats=r.stats)
+        fields.update(changes)
+        return SsspResult(**fields)
+
+    finite = [v for v in range(g.n) if r.dist[v] != math.inf]
+    infinite = [v for v in range(g.n) if r.dist[v] == math.inf]
+    for delta in (1.0, -1.0):
+        v = rng.choice(finite)
+        dist = list(r.dist)
+        dist[v] += delta
+        yield copy(dist=dist)
+    if len(finite) > 1 and infinite:
+        dist = list(r.dist)
+        a, b = rng.choice(finite[1:]), rng.choice(infinite)
+        dist[a], dist[b] = dist[b], dist[a]
+        yield copy(dist=dist)
+    v = rng.randrange(g.n)
+    parent = list(r.parent)
+    parent[v] = rng.choice([u for u in range(g.n) if u != r.parent[v]])
+    yield copy(parent=parent)
+    yield copy(neg_cycle=not r.neg_cycle)
+
+
+def test_certify_matches_the_oracle_on_mutated_results():
+    rng = random.Random(7)
+    judged = 0
+    for g in seeded_graphs():
+        for solve in (bellman_ford, jfr_pq, spfa_slf):
+            for m in mutants(g, solve(g, 0), rng):
+                assert certify(g, 0, m) == rule_before_certify(g, 0, m)
+                judged += 1
+    assert judged > 100
+
+
+def flagged_claim(n, parent):
+    return SsspResult([0.0] * n, parent, True, RunStats(mode="external"))
+
+
+def test_certify_resolves_a_negative_cycle_the_source_cannot_reach(resolves):
+    g = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (2, 3, -1.0),
+                                       (3, 2, -1.0)]))
+    claim = flagged_claim(4, [None, 0, 3, 2])
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert not report.neg_cycle_agree and resolves == [0]
+
+
+def test_certify_resolves_a_parent_cycle_through_a_missing_edge(resolves):
+    # 1 -> 2 -> 1 is a reachable negative cycle, but the claim's parent
+    # cycle 1 <-> 3 runs over edges the graph does not have
+    g = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (1, 2, -3.0),
+                                       (2, 1, 1.0), (0, 3, 1.0)]))
+    claim = flagged_claim(4, [None, 3, 1, 1])
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert report.ok and resolves == [0]
+    claim.parent = [None, 2, 1, 0]
+    assert certify(g, 0, claim).ok and resolves == [0]
+
+
+def test_certify_resolves_a_zero_weight_parent_cycle(resolves):
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 5.0), (1, 2, 0.0),
+                                       (2, 1, 0.0)]))
+    claim = flagged_claim(3, [None, 2, 1])
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert not report.ok and resolves == [0]
+
+
+def test_certify_resolves_a_cycle_that_rounding_hides_from_the_oracle(
+        resolves):
+    # 1 -> 2 -> 1 weighs -0.5, but at labels near 1e17 (ulp 16) both its
+    # additions round back to the label, so Bellman-Ford settles and does
+    # not flag
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 1e17), (1, 2, -1.0),
+                                       (2, 1, 0.5)]))
+    assert not bellman_ford(g, 0).neg_cycle
+    claim = flagged_claim(3, [None, 2, 1])
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert not report.neg_cycle_agree and resolves == [0]
+
+
+def test_certify_checks_the_source_and_the_label_count():
+    g = triangle()
+    r = bellman_ford(g, 0)
+    with pytest.raises(IndexOutOfRange):
+        certify(g, 3, r)
+    r.dist = r.dist[:2]
+    assert certify(g, 0, r) == rule_before_certify(g, 0, r)
+
+
+# --- the CLI reaches its verdicts without a re-solve ---
+
+def cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def test_cli_checks_correct_results_without_bellman_ford(capsys, tmp_path,
+                                                          monkeypatch):
+    def refuse(g, s):
+        raise AssertionError("Bellman-Ford re-solve")
+
+    monkeypatch.setattr(verify, "bellman_ford", refuse)
+    feasible = generate("neg-dense", 3, n=60, m=300, neg_fraction=0.4)
+    flagged = planted_graph(5)
+    for name, g in (("feasible", feasible), ("flagged", flagged)):
+        path, res = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+        write_file(str(path), g)
+        for algo in ("jfr-pq", "slf", "jfr-strict"):
+            code, out = cli(capsys, "run", path, "--algo", algo, "--check",
+                            "--out", res)
+            assert code == 0 and json.loads(out)["check"] == "PASS", algo
+            assert json.loads(res.read_text())["neg_cycle"] == \
+                (name == "flagged")
+            code, out = cli(capsys, "verify", path, res)
+            assert code == 0 and json.loads(out)["neg_cycle_agree"], algo
+        code, out = cli(capsys, "compare", path, "--repetitions", "1")
+        assert code == 0
+        row = next(csv.DictReader(out.splitlines()[1:]))
+        assert row["check_base"] == row["check_jfr"] == "PASS"
+    code, out = cli(capsys, "sweep-edges", "--family", "neg-dense", "--n",
+                    60, "--m", 300, "--fractions", "0.1")
+    assert code == 0
+    assert {r["check"] for r in csv.DictReader(out.splitlines()[1:])} \
+        == {"PASS"}
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({
+        "seed": 3, "repetitions": 2, "algorithms": ["slf", "jfr-pq", "bf"],
+        "entries": [{"family": "neg-dense", "n": 40, "m": 200},
+                    {"family": "slf-killer", "n": 60}]}))
+    code, out = cli(capsys, "suite", spec)
+    assert code == 0
+    assert {r["check"] for r in csv.DictReader(out.splitlines()[1:])} \
+        == {"PASS"}
