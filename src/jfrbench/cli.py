@@ -42,7 +42,8 @@ COMPARE_SCHEMA_TAG = "#schema=2"  # compare rows
 ALGORITHMS = ("bf", "spfa", "slf", "jfr-strict", "jfr-pq", "dijkstra")
 
 SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
-# the generator parameters that each family reads from a suite entry
+# the generator parameters that each family reads, from a suite entry or
+# from the flags of gen and sweep-edges
 ENTRY_KEYS = {
     "sparse-random": ("n", "m", "weight_lo", "weight_hi"),
     "neg-dense": ("n", "m", "weight_lo", "weight_hi", "neg_fraction"),
@@ -124,11 +125,27 @@ def _write_csv(path, tag, header, rows):
         writer.writerows(rows)
 
 
+def _generate(args, flags):
+    """The ``--family`` graph, from those of the generator ``flags`` that
+    were given; a given flag that the family does not read is an error."""
+    family = args.family
+    if family not in ENTRY_KEYS:
+        raise SpecInvalid(f"unknown family {family!r}; choose from "
+                          f"{', '.join(ENTRY_KEYS)}")
+    params = {flag: getattr(args, flag) for flag in flags}
+    reads = [flag for flag in flags if flag in ENTRY_KEYS[family]]
+    for flag, value in params.items():
+        if value is not None and flag not in reads:
+            raise SpecInvalid(
+                f"--{flag.replace('_', '-')} does not apply to {family}; "
+                "it reads " + ", ".join("--" + f.replace("_", "-")
+                                        for f in reads))
+    return generate(family, args.seed, **params)
+
+
 def cmd_gen(args) -> int:
-    g = generate(args.family, args.seed, n=args.n, m=args.m,
-                 weight_lo=args.weight_lo, weight_hi=args.weight_hi,
-                 neg_fraction=args.neg_fraction, blades=args.blades,
-                 blade_size=args.blade_size)
+    g = _generate(args, ("n", "m", "weight_lo", "weight_hi", "neg_fraction",
+                         "blades", "blade_size"))
     if args.out:
         write_file(args.out, g)
         print(f"family={args.family} n={g.n} m={g.m} seed={args.seed} "
@@ -244,12 +261,8 @@ def _suite_instance(spec, entry, i):
     """Run every selected algorithm on instance i of a suite entry; per
     algorithm, give its counts and check, or why it was skipped."""
     seed = spec.get("seed", 0) + i
-    g = generate(entry["family"], seed, n=entry.get("n"), m=entry.get("m"),
-                 weight_lo=entry.get("weight_lo"),
-                 weight_hi=entry.get("weight_hi"),
-                 neg_fraction=entry.get("neg_fraction", 0.3),
-                 blades=entry.get("blades"),
-                 blade_size=entry.get("blade_size"))
+    g = generate(entry["family"], seed,
+                 **{key: v for key, v in entry.items() if key != "family"})
     out = {}
     for algo in spec["algorithms"]:
         try:
@@ -311,12 +324,15 @@ def _parse_fractions(text):
 
 def cmd_sweep_edges(args) -> int:
     fractions = _parse_fractions(args.fractions)
+    # --weight-lo / --weight-hi weigh the added edges, not the family's
+    flags = ("n", "m", "neg_fraction", "blades", "blade_size")
     if args.graph:
+        if args.family or any(getattr(args, f) is not None for f in flags):
+            raise SpecInvalid("a graph file takes neither --family nor its "
+                              "generator flags")
         g0 = read_file(args.graph)
     elif args.family:
-        g0 = generate(args.family, args.seed, n=args.n, m=args.m,
-                      neg_fraction=args.neg_fraction, blades=args.blades,
-                      blade_size=args.blade_size)
+        g0 = _generate(args, flags)
     else:
         raise SpecInvalid("sweep-edges needs a graph file or --family")
     rows = []
@@ -408,7 +424,7 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--neg-fraction", type=float, default=0.3)
+    p.add_argument("--neg-fraction", type=float)
     p.add_argument("--weight-lo", type=float, default=None)
     p.add_argument("--weight-hi", type=float, default=None)
     p.add_argument("--blades", type=int)
@@ -446,7 +462,7 @@ def _build_parser():
     p.add_argument("--family")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--neg-fraction", type=float, default=0.3)
+    p.add_argument("--neg-fraction", type=float)
     p.add_argument("--blades", type=int)
     p.add_argument("--blade-size", type=int)
     p.add_argument("--fractions", required=True,

@@ -59,6 +59,15 @@ class NoCycleRecorded(JfrError):
     cycle."""
 
 
+class MissingEdge(JfrError):
+    """A cycle steps from a vertex to one the graph has no edge to."""
+
+
+class BrokenParentChain(JfrError):
+    """Parent pointers that loop before reaching the source, or that end
+    before a walk meets the cycle it looks for."""
+
+
 # --- metrics ---
 
 class ZeroOps(JfrError):
@@ -70,7 +79,8 @@ class ModeMismatch(JfrError):
 
 
 class NegCycleResult(JfrError):
-    """Optimality conditions are undefined for a negative-cycle result."""
+    """Optimality conditions and paths are undefined for a negative-cycle
+    result."""
 
 
 # --- CLI ---

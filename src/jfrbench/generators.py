@@ -295,10 +295,12 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
 
 def generate(family: str, seed: int, n: "int | None" = None,
              m: "int | None" = None, weight_lo: "float | None" = None,
-             weight_hi: "float | None" = None, neg_fraction: float = 0.3,
+             weight_hi: "float | None" = None,
+             neg_fraction: "float | None" = None,
              blades: "int | None" = None,
              blade_size: "int | None" = None) -> Graph:
-    """Single entry point used by the CLI and the suite runner."""
+    """Single entry point used by the CLI and the suite runner.  Weights
+    and ``neg_fraction`` left None take the family's defaults."""
     if family == "sparse-random":
         if n is None or m is None:
             raise SpecInvalid("sparse-random needs n and m")
@@ -314,7 +316,8 @@ def generate(family: str, seed: int, n: "int | None" = None,
             family=family, n=n, m=m,
             weight_lo=0.0 if weight_lo is None else weight_lo,
             weight_hi=10.0 if weight_hi is None else weight_hi,
-            neg_fraction=neg_fraction, seed=seed))
+            neg_fraction=0.3 if neg_fraction is None else neg_fraction,
+            seed=seed))
     if family == "windmill":
         if blades is None or blade_size is None:
             raise SpecInvalid("windmill needs blades and blade_size")

@@ -39,8 +39,8 @@ class LmhWorkspace:
 
     ``window`` and ``mark`` hold stamps from ``clock``, which only grows,
     so nothing is ever cleared.  A call takes the stamps ``first`` ..
-    ``first + k - 1``: ``window[v] == first`` marks v as in the call's
-    window, and ``mark[v] == first + r`` marks v as improved by wave ``r``
+    ``first + k - 1``: ``window[v] == first`` marks v as scanned by the
+    call, and ``mark[v] == first + r`` marks v as improved by wave ``r``
     (hence queued for wave ``r + 1``); ``mark[v] >= first`` means v
     improved somewhere in the call.  ``scanned[v]`` is the label at which
     v's out-edges were last relaxed (NaN, equal to nothing, for never).
@@ -65,10 +65,11 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
     evaluation is counted in both ``edge_inspections`` and
     ``lmh_inspections``; a ``(depth, inspections, window_degree_sum)``
     record is appended to ``stats.lmh_calls``, where the window is the
-    finite-label seeds plus every edge target the call touched.  Returns
-    the strictly improved vertices in first-improvement order.  ``ws``
-    carries scratch state between the calls of one solve; without it a
-    fresh one is made.
+    distinct vertices whose out-edges the call relaxed (each at most once
+    per wave; a seed listed twice is scanned once), so ``inspections <=
+    depth * window_degree_sum``.  Returns the strictly improved vertices
+    in first-improvement order.  ``ws`` carries scratch state between the
+    calls of one solve; without it a fresh one is made.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -86,11 +87,10 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
     wave = []
     window_degree_sum = 0
     for u in seeds:
-        if dist[u] != INF:
+        if dist[u] != INF and window[u] != first:
+            window[u] = first
+            window_degree_sum += offsets[u + 1] - offsets[u]
             wave.append(u)
-            if window[u] != first:
-                window[u] = first
-                window_degree_sum += offsets[u + 1] - offsets[u]
     improved_all: list = []
     inspections = 0
     successes = 0
@@ -103,11 +103,11 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
             scanned[u] = du
             lo, hi = offsets[u], offsets[u + 1]
             inspections += hi - lo
+            if window[u] != first:
+                window[u] = first
+                window_degree_sum += hi - lo
             for e in range(lo, hi):
                 v = targets[e]
-                if window[v] != first:
-                    window[v] = first
-                    window_degree_sum += offsets[v + 1] - offsets[v]
                 cand = du + weights[e]
                 if cand < dist[v]:
                     dist[v] = cand

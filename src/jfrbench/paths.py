@@ -2,7 +2,8 @@
 
 import math
 
-from .errors import NoCycleRecorded, Unreachable
+from .errors import (BrokenParentChain, MissingEdge, NegCycleResult,
+                     NoCycleRecorded, Unreachable)
 from .graph import Graph
 from .results import SsspResult
 
@@ -10,7 +11,7 @@ from .results import SsspResult
 def reconstruct_path(result: SsspResult, v: int) -> list:
     """Vertex sequence from the source to ``v`` along parent pointers."""
     if result.neg_cycle:
-        raise ValueError("paths are undefined on a negative-cycle result")
+        raise NegCycleResult("paths are undefined on a negative-cycle result")
     if result.dist[v] == math.inf:
         raise Unreachable(f"vertex {v} has infinite distance")
     parent = result.parent
@@ -20,7 +21,7 @@ def reconstruct_path(result: SsspResult, v: int) -> list:
         cur = parent[cur]
         seq.append(cur)
         if len(seq) > len(parent):
-            raise RuntimeError("parent pointers form a cycle")
+            raise BrokenParentChain("parent pointers form a cycle")
     seq.reverse()
     return seq
 
@@ -34,7 +35,7 @@ def _min_edge_weight(g: Graph, tail: int, head: int) -> float:
             if best is None or w < best:
                 best = w
     if best is None:
-        raise RuntimeError(f"no edge {tail}->{head} in graph")
+        raise MissingEdge(f"no edge {tail}->{head} in graph")
     return best
 
 
@@ -101,6 +102,6 @@ def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
     for _ in range(g.n):
         nxt = parent[x]
         if nxt is None:
-            raise RuntimeError("parent walk left the improved region")
+            raise BrokenParentChain("parent walk left the improved region")
         x = nxt
     return _peel_cycle(parent, x)

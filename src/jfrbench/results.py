@@ -36,7 +36,9 @@ class RunStats:
     improvements: list[int] = field(default_factory=list)
     wall_time_ns: int = 0
     k: "int | None" = None
-    # one (depth, inspections, window_degree_sum) triple per propagation call
+    # one (depth, inspections, window_degree_sum) triple per propagation
+    # call; the window is the distinct vertices the call scanned, so
+    # inspections <= depth * window_degree_sum
     lmh_calls: list[tuple[int, int, int]] = field(default_factory=list)
 
 

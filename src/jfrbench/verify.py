@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .baselines import bellman_ford, check_source
-from .errors import NegCycleResult
+from .errors import MissingEdge, NegCycleResult
 from .graph import Graph
 from .paths import cycle_weight, parent_cycles
 from .results import SsspResult
@@ -168,7 +168,7 @@ def _flag_certified(g: Graph, s: int, parent: list) -> bool:
     for cycle in cycles:
         try:
             weight = cycle_weight(g, cycle)
-        except RuntimeError:  # a parent edge the graph does not have
+        except MissingEdge:  # a parent edge the graph does not have
             continue
         if weight < -len(cycle) * scale * sys.float_info.epsilon:
             if reach is None:

@@ -99,9 +99,9 @@ def sweep():
                 tally.activation_bound_bad += 1
             if not bound_check(s, g, k).holds:
                 tally.bound_check_bad += 1
-            for _depth, inspections, window_deg in s.lmh_calls:
+            for depth, inspections, window_deg in s.lmh_calls:
                 tally.lmh_calls_checked += 1
-                if inspections > k * window_deg:
+                if inspections > depth * window_deg:
                     tally.lmh_bound_bad += 1
         for depth, inspections, window_deg in pq.stats.lmh_calls:
             tally.pq_lmh_calls_checked += 1

@@ -7,6 +7,7 @@ from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
                                 spfa_slf)
 from jfrbench.errors import NegativeWeightPresent
 from jfrbench.graph import EdgeListDoc, from_edge_list
+from jfrbench.jfr import jfr_pq
 
 INF = math.inf
 
@@ -130,3 +131,13 @@ def test_source_out_of_range():
     for alg in (bellman_ford, spfa_fifo, spfa_slf, dijkstra_oracle):
         with pytest.raises(IndexOutOfRange):
             alg(potential_graph(5, 5, 1, mixed=False), 5)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the queue solvers "
+                   "flag a cycle once a label improves n times, and two "
+                   "parallel edges improve vertex 1 twice in one scan")
+@pytest.mark.parametrize("solve", [spfa_fifo, spfa_slf, jfr_pq])
+def test_parallel_edges_are_not_a_negative_cycle(solve):
+    g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0), (0, 1, 0.5)]))
+    r = solve(g, 0)
+    assert r.dist == [0.0, 0.5] and not r.neg_cycle

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import rule_before_certify
 from jfrbench.baselines import bellman_ford
-from jfrbench.cli import main
+from jfrbench.cli import ALGORITHMS, ENTRY_KEYS, SPEC_KEYS, main
 from jfrbench.generators import generate, plant_negative_cycle
 from jfrbench.graph import from_edge_list, read_text, write_file
 from jfrbench.results import RunStats, SsspResult
@@ -348,6 +348,17 @@ MALFORMED = {
         {"family": "slf-killer", "n": 60, "neg_fraction": 0.5}]),
     "suite-entry-family-list": _suite_with(entries=[
         {"family": ["slf-killer"], "n": 60}]),
+    "gen-flags-the-family-does-not-read": lambda tmp_path, graph: [
+        "gen", "--family", "slf-killer", "--n", "10", "--m", "999",
+        "--neg-fraction", "0.9", "--blades", "3"],
+    "gen-windmill-with-n-and-m": lambda tmp_path, graph: [
+        "gen", "--family", "windmill", "--blades", "2", "--blade-size", "3",
+        "--n", "500", "--m", "7"],
+    "sweep-edges-flag-the-family-does-not-read": lambda tmp_path, graph: [
+        "sweep-edges", "--family", "sparse-random", "--n", "10", "--m",
+        "20", "--neg-fraction", "0.5", "--fractions", "0.5"],
+    "sweep-edges-graph-file-with-generator-flag": lambda tmp_path, graph: [
+        "sweep-edges", graph, "--n", "10", "--fractions", "0.5"],
     "verify-not-json": _verify_with("{not json"),
     "verify-payload-list": _verify_with([0.0, 1.0, 2.0]),
     "verify-no-dist": _verify_with({"parent": [None, 0, 1]}),
@@ -469,3 +480,89 @@ def test_verify_fuzz_ends_in_a_verdict_or_a_one_line_error(tmp_path, case):
                                      for x in (a, b)]
     assert report == json.loads(json.dumps(want.__dict__))
     assert code == (0 if want.ok else 1)
+
+
+# Suite-spec fuzzing: each key present or not, each value of the right type
+# and range or junk, with unknown keys and families mixed in.  Graphs stay
+# tiny (n <= 30) and specs ask for at most one instance per entry.
+SPEC_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 1), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+WEIGHT = st.one_of(st.integers(-3, 20), st.floats(-3, 20), st.floats())
+ENTRY_VALUES = {
+    "n": st.integers(0, 30), "m": st.integers(-1, 90),
+    "weight_lo": WEIGHT, "weight_hi": WEIGHT,
+    "neg_fraction": st.floats(-0.5, 1.5), "blades": st.integers(0, 4),
+    "blade_size": st.integers(0, 6), "bogus": st.integers(0, 3),
+}
+
+
+def one_in(draw, odds):
+    return draw(st.sampled_from([False] * (odds - 1) + [True]))
+
+
+def maybe(draw, strategy):
+    """A draw from ``strategy``, or now and then a junk value."""
+    return draw(SPEC_JUNK if one_in(draw, 25) else strategy)
+
+
+def present(draw, known):
+    """Whether a key goes in: a key that is read mostly, others rarely."""
+    return not one_in(draw, 8) if known else one_in(draw, 25)
+
+
+@st.composite
+def suite_entries(draw):
+    family = maybe(draw, st.sampled_from(sorted(ENTRY_KEYS) * 3 + ["bogus"]))
+    entry = {} if one_in(draw, 25) else {"family": family}
+    reads = ENTRY_KEYS.get(family, ()) if isinstance(family, str) else ()
+    for key, values in ENTRY_VALUES.items():
+        if present(draw, key in reads):
+            entry[key] = maybe(draw, values)
+    return entry
+
+
+SPEC_VALUES = {
+    "seed": st.integers(0, 10 ** 6), "repetitions": st.just(1),
+    "k": st.integers(-1, 4),
+    "algorithms": st.lists(st.sampled_from(ALGORITHMS * 4 + ("bogus",)),
+                           min_size=1, max_size=3),
+    "entries": st.lists(suite_entries(), min_size=1, max_size=2),
+    "threads": st.integers(1, 2),  # a key suite specs no longer take
+}
+
+
+@st.composite
+def suite_specs(draw):
+    if one_in(draw, 30):
+        return draw(SPEC_JUNK)
+    spec = {}
+    for key, values in SPEC_VALUES.items():
+        if present(draw, key in SPEC_KEYS):
+            spec[key] = maybe(draw, values)
+    return spec
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=suite_specs())
+def test_suite_fuzz_ends_in_csv_or_a_one_line_error(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["suite", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1 and not out:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert code == 0 and err == "", (code, err)
+    lines = out.splitlines()
+    assert lines[0] == "#schema=1"
+    rows = list(csv.DictReader(lines[1:]))
+    # FAIL is a verdict, not a crash: on tiny graphs with parallel edges
+    # the queue solvers can flag a cycle that is not there (see
+    # test_parallel_edges_are_not_a_negative_cycle)
+    assert rows and all(r["check"] in ("PASS", "FAIL")
+                        or r["check"].startswith("SKIPPED") for r in rows)

@@ -40,7 +40,7 @@ def test_lmh_chain_depth_one_stops_after_one_hop():
     improved = lmh_propagate(g, [0], 1, dist, parent, stats)
     assert dist == [0.0, 1.0, INF, INF]
     assert improved == [1]
-    assert stats.lmh_calls == [(1, 1, 2)]
+    assert stats.lmh_calls == [(1, 1, 1)]  # the window is {0}: only 0 scanned
 
 
 def test_lmh_rejoining_paths_keep_first_improvement_order():
@@ -78,6 +78,30 @@ def test_lmh_inspection_bound_per_call():
             lmh_propagate(g, [0], k, dist, parent, stats)
         for depth, inspections, window_deg in stats.lmh_calls:
             assert inspections <= depth * window_deg
+
+
+def test_lmh_window_is_the_scanned_vertices():
+    # with a fresh workspace, the vertices with a non-NaN scanned label are
+    # exactly the ones the call relaxed the out-edges of
+    for seed in range(20):
+        g = potential_graph(30, 150, seed)
+        for k in (1, 2, 3):
+            dist, parent, stats = fresh_state(30)
+            ws = LmhWorkspace(30)
+            lmh_propagate(g, [0], k, dist, parent, stats, ws)
+            (depth, inspections, window_deg), = stats.lmh_calls
+            assert window_deg == sum(g.out_degree(v) for v in range(30)
+                                     if not math.isnan(ws.scanned[v]))
+            assert depth == k and inspections <= k * window_deg
+
+
+def test_lmh_scans_a_repeated_seed_once():
+    g = potential_graph(30, 150, 0)
+    deg = g.out_degree(5)
+    dist, parent, stats = fresh_state(30)
+    dist[5] = 0.0
+    lmh_propagate(g, [5, 5], 1, dist, parent, stats)
+    assert deg > 0 and stats.lmh_calls == [(1, deg, deg)]
 
 
 def test_lmh_records_scanned_labels():
@@ -171,7 +195,7 @@ def test_jfr_strict_activation_bound():
 def test_jfr_strict_counters_pinned():
     # any change here is a change in what the round-based mode does
     s = jfr_strict(potential_graph(12, 40, 5), 0, 3).stats
-    assert s.lmh_calls == [(2, 28, 35), (2, 14, 24)]
+    assert s.lmh_calls == [(2, 28, 26), (2, 14, 9)]
     assert s.activations == [1, 2, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1]
     assert s.improvements == [0, 5, 1, 3, 3, 2, 1, 1, 2, 3, 3, 2]
     assert (s.edge_inspections, s.lmh_inspections, s.outer_iterations) == \
@@ -231,6 +255,13 @@ def test_jfr_pq_vertex_scanned_at_its_label_costs_nothing_more():
     assert s.edge_inspections == s.lmh_inspections == 5
     assert s.activations == [1, 0, 1, 0, 1, 0]
     assert (s.queue_pushes, s.stale_pops, s.outer_iterations) == (3, 0, 3)
+
+
+def test_jfr_pq_lmh_calls_pinned():
+    # the first call scans some vertex in two waves: 28 inspections over a
+    # window of degree 24
+    assert jfr_pq(potential_graph(10, 30, 1), 0, k=3).stats.lmh_calls == \
+        [(3, 28, 24), (3, 1, 1)]
 
 
 def test_jfr_pq_scans_each_label_at_most_once():

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import potential_graph, triangle
 from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
-from jfrbench.errors import NoCycleRecorded, Unreachable
+from jfrbench.errors import (BrokenParentChain, JfrError, MissingEdge,
+                             NegCycleResult, NoCycleRecorded, Unreachable)
 from jfrbench.generators import GenSpec, gen_sparse_random, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
@@ -31,8 +32,15 @@ def test_reconstruct_rejects_neg_cycle_result():
     g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0), (1, 0, -2.0)]))
     r = bellman_ford(g, 0)
     assert r.neg_cycle
-    with pytest.raises(ValueError):
+    with pytest.raises(NegCycleResult):
         reconstruct_path(r, 1)
+
+
+def test_reconstruct_rejects_a_parent_cycle():
+    looped = SsspResult([0.0, 1.0, 2.0], [None, 2, 1], False,
+                        RunStats(mode="external"))
+    with pytest.raises(BrokenParentChain):
+        reconstruct_path(looped, 1)
 
 
 def test_path_weights_are_consistent():
@@ -61,8 +69,13 @@ def test_cycle_weight_wraparound_and_parallel_edges():
 
 def test_cycle_weight_missing_edge():
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 2.0)]))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(MissingEdge):
         cycle_weight(g, [0, 2])
+
+
+def test_path_errors_are_jfr_errors():
+    for error in (BrokenParentChain, MissingEdge, NegCycleResult):
+        assert issubclass(error, JfrError)
 
 
 def test_detect_requires_recorded_cycle():
@@ -107,3 +120,13 @@ def test_detect_without_witness_walks_the_parent_graph():
     loaded.parent = [None, 0, 1]
     with pytest.raises(NoCycleRecorded):
         detect_negative_cycle(loaded, g)
+
+
+def test_detect_witness_walk_that_meets_no_cycle():
+    # the walk back from the witness reaches the root before n steps
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -2.0),
+                                       (2, 1, 1.0)]))
+    broken = SsspResult([0.0, 1.0, -1.0], [None, 0, 1], True,
+                        RunStats(mode="external"), cycle_witness=2)
+    with pytest.raises(BrokenParentChain):
+        detect_negative_cycle(broken, g)
