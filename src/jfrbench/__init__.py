@@ -7,9 +7,9 @@ from .errors import (BrokenParentChain, HeaderMismatch, IndexOutOfRange,
                      NegativeWeightPresent, NegCycleResult, NoCycleRecorded,
                      NonFiniteWeight, ParseError, PotentialUnavailable,
                      SpecInvalid, UnknownAlgorithm, Unreachable, ZeroOps)
-from .generators import (GenSpec, add_edges, gen_neg_dense, gen_slf_killer,
-                         gen_sparse_random, gen_windmill, generate,
-                         plant_negative_cycle)
+from .generators import (FAMILIES, add_edges, family_params, gen_neg_dense,
+                         gen_slf_killer, gen_sparse_random, gen_windmill,
+                         generate, plant_negative_cycle)
 from .graph import (EdgeListDoc, Graph, from_edge_list, read_file, read_text,
                     write_file, write_text)
 from .jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
@@ -22,17 +22,18 @@ from .verify import (VerifyReport, certify, check_optimality_conditions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BrokenParentChain", "Comparison", "EdgeListDoc", "GenSpec",
-    "Graph", "HeaderMismatch", "IndexOutOfRange", "JfrError", "LmhWorkspace",
-    "MissingEdge", "ModeMismatch", "NegCycleResult", "NegativeSelfLoop",
-    "NegativeWeightPresent", "NoCycleRecorded", "NonFiniteWeight",
-    "ParseError", "PotentialUnavailable", "RunStats", "SpecInvalid",
-    "SsspResult", "UnknownAlgorithm", "Unreachable", "VerifyReport", "ZeroOps",
-    "add_edges", "bellman_ford", "bound_check", "certify",
-    "check_optimality_conditions", "compare", "cycle_weight",
-    "detect_negative_cycle", "dijkstra_oracle", "from_edge_list",
-    "gen_neg_dense", "gen_slf_killer", "gen_sparse_random", "gen_windmill",
-    "generate", "jfr_pq", "jfr_strict", "lmh_propagate", "oracle_compare",
-    "oracle_verdict", "plant_negative_cycle", "read_file", "read_text",
-    "reconstruct_path", "spfa_fifo", "spfa_slf", "write_file", "write_text",
+    "BoundReport", "BrokenParentChain", "Comparison", "EdgeListDoc",
+    "FAMILIES", "Graph", "HeaderMismatch", "IndexOutOfRange", "JfrError",
+    "LmhWorkspace", "MissingEdge", "ModeMismatch", "NegCycleResult",
+    "NegativeSelfLoop", "NegativeWeightPresent", "NoCycleRecorded",
+    "NonFiniteWeight", "ParseError", "PotentialUnavailable", "RunStats",
+    "SpecInvalid", "SsspResult", "UnknownAlgorithm", "Unreachable",
+    "VerifyReport", "ZeroOps", "add_edges", "bellman_ford", "bound_check",
+    "certify", "check_optimality_conditions", "compare", "cycle_weight",
+    "detect_negative_cycle", "dijkstra_oracle", "family_params",
+    "from_edge_list", "gen_neg_dense", "gen_slf_killer", "gen_sparse_random",
+    "gen_windmill", "generate", "jfr_pq", "jfr_strict", "lmh_propagate",
+    "oracle_compare", "oracle_verdict", "plant_negative_cycle", "read_file",
+    "read_text", "reconstruct_path", "spfa_fifo", "spfa_slf", "write_file",
+    "write_text",
 ]

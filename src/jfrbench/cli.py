@@ -30,7 +30,7 @@ import sys
 from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
-from .generators import add_edges, generate
+from .generators import FAMILIES, add_edges, family_params, generate
 from .graph import Graph, read_file, write_file, write_text
 from .jfr import jfr_pq, jfr_strict
 from .metrics import compare
@@ -38,18 +38,15 @@ from .results import RunStats, SsspResult
 from .verify import certify, well_formed_parents
 
 SCHEMA_TAG = "#schema=1"  # suite and sweep-edges rows
-COMPARE_SCHEMA_TAG = "#schema=2"  # compare rows
+COMPARE_SCHEMA_TAG = "#schema=3"  # compare rows
 ALGORITHMS = ("bf", "spfa", "slf", "jfr-strict", "jfr-pq", "dijkstra")
 
 SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
-# the generator parameters that each family reads, from a suite entry or
-# from the flags of gen and sweep-edges
-ENTRY_KEYS = {
-    "sparse-random": ("n", "m", "weight_lo", "weight_hi"),
-    "neg-dense": ("n", "m", "weight_lo", "weight_hi", "neg_fraction"),
-    "windmill": ("blades", "blade_size", "weight_lo", "weight_hi"),
-    "slf-killer": ("n",),
-}
+# every generator parameter and its type, in family-table order: the flags
+# of gen; sweep-edges' --weight-lo / --weight-hi weigh the added edges
+GEN_FLAGS = {name: p.annotation for family in FAMILIES
+             for name, p in family_params(family).items()}
+SWEEP_FLAGS = [name for name in GEN_FLAGS if not name.startswith("weight_")]
 
 # Desk-scale default suite: one entry per family, sized to finish in
 # about a minute while still separating the algorithms clearly.
@@ -84,6 +81,15 @@ def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
         return dijkstra_oracle(g, source)
     raise UnknownAlgorithm(f"unknown algorithm {name!r}; "
                            f"choose from {', '.join(ALGORITHMS)}")
+
+
+def _k_for(algorithms, k):
+    """The k to run ``algorithms`` with: the jfr default of 2 unless one
+    is given, and a k given where no algorithm reads it is an error."""
+    if k is not None and not any(a.startswith("jfr-") for a in algorithms):
+        raise SpecInvalid(f"k applies only to jfr-strict and jfr-pq, not "
+                          f"to {' or '.join(algorithms)}")
+    return 2 if k is None else k
 
 
 def _timed_run(name, g, source, k, repetitions):
@@ -128,24 +134,19 @@ def _write_csv(path, tag, header, rows):
 def _generate(args, flags):
     """The ``--family`` graph, from those of the generator ``flags`` that
     were given; a given flag that the family does not read is an error."""
-    family = args.family
-    if family not in ENTRY_KEYS:
-        raise SpecInvalid(f"unknown family {family!r}; choose from "
-                          f"{', '.join(ENTRY_KEYS)}")
+    reads = [flag for flag in flags if flag in family_params(args.family)]
     params = {flag: getattr(args, flag) for flag in flags}
-    reads = [flag for flag in flags if flag in ENTRY_KEYS[family]]
     for flag, value in params.items():
         if value is not None and flag not in reads:
             raise SpecInvalid(
-                f"--{flag.replace('_', '-')} does not apply to {family}; "
-                "it reads " + ", ".join("--" + f.replace("_", "-")
-                                        for f in reads))
-    return generate(family, args.seed, **params)
+                f"--{flag.replace('_', '-')} does not apply to {args.family}"
+                "; it reads " + ", ".join("--" + f.replace("_", "-")
+                                          for f in reads))
+    return generate(args.family, args.seed, **params)
 
 
 def cmd_gen(args) -> int:
-    g = _generate(args, ("n", "m", "weight_lo", "weight_hi", "neg_fraction",
-                         "blades", "blade_size"))
+    g = _generate(args, GEN_FLAGS)
     if args.out:
         write_file(args.out, g)
         print(f"family={args.family} n={g.n} m={g.m} seed={args.seed} "
@@ -157,7 +158,8 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     g = read_file(args.graph)
-    result = _timed_run(args.algo, g, args.source, args.k, args.repetitions)
+    k = _k_for([args.algo], args.k)
+    result = _timed_run(args.algo, g, args.source, k, args.repetitions)
     if args.check:
         check = _check(g, args.source, result)
     else:
@@ -181,17 +183,18 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     g = read_file(args.graph)
-    base = _timed_run(args.base, g, args.source, args.k, args.repetitions)
-    jfr = _timed_run(args.jfr, g, args.source, args.k, args.repetitions)
+    k = _k_for([args.base, args.jfr], args.k)
+    base = _timed_run(args.base, g, args.source, k, args.repetitions)
+    jfr = _timed_run(args.jfr, g, args.source, k, args.repetitions)
     cm = compare(base.stats, jfr.stats)
     _write_csv(None, COMPARE_SCHEMA_TAG,
                ["graph", "base_algo", "jfr_algo", "ops_base", "ops_jfr",
-                "time_base_ns", "time_jfr_ns", "rho_ops", "rho_tpr", "nwr",
+                "time_base_ns", "time_jfr_ns", "rho_ops", "rho_tpr",
                 "check_base", "check_jfr"],
                [[args.graph, args.base, args.jfr, cm.ops_base, cm.ops_jfr,
                  cm.time_base_ns, cm.time_jfr_ns, f"{cm.rho_ops:.6f}",
-                 f"{cm.rho_tpr:.6f}", f"{cm.nwr:.6f}",
-                 _check(g, args.source, base), _check(g, args.source, jfr)]])
+                 f"{cm.rho_tpr:.6f}", _check(g, args.source, base),
+                 _check(g, args.source, jfr)]])
     return 0
 
 
@@ -215,8 +218,8 @@ def _validate_suite(spec):
     for key in spec:
         _expect(key in SPEC_KEYS, f"unknown key; choose from "
                 f"{', '.join(SPEC_KEYS)}", key)
-    for key, default in (("seed", 0), ("repetitions", 1), ("k", 2)):
-        value = spec.get(key, default)
+    for key in ("seed", "repetitions", "k"):
+        value = spec.get(key, 0)
         _expect(type(value) is int, f"{key!r} must be an integer", value)
     if spec.get("repetitions", 1) < 1:
         raise SpecInvalid("repetitions must be >= 1")
@@ -231,30 +234,29 @@ def _validate_suite(spec):
     _expect(isinstance(entries, list), "'entries' must be a list", entries)
     if not entries:
         raise SpecInvalid("suite has no entries")
+    _k_for(algos, spec.get("k"))
     for entry in entries:
         _expect(isinstance(entry, dict) and "family" in entry,
                 "each entry must be an object with a 'family'", entry)
-        family = entry["family"]
-        _expect(isinstance(family, str) and family in ENTRY_KEYS,
-                f"'family' must be one of {', '.join(ENTRY_KEYS)}", family)
+        reads = family_params(entry["family"])
         for key, value in entry.items():
-            _expect(key == "family" or key in ENTRY_KEYS[family],
-                    f"a {family} entry takes "
-                    f"{', '.join(ENTRY_KEYS[family])}; unknown key", key)
-            kinds = (int,) if key in ("n", "m", "blades", "blade_size") \
-                else (int, float)
-            _expect(key == "family" or value is None or type(value) in kinds,
-                    f"entry {key!r} must be "
-                    f"{' or '.join(t.__name__ for t in kinds)}", value)
+            if key == "family":
+                continue
+            _expect(key in reads, f"a {entry['family']} entry takes "
+                    f"{', '.join(reads)}; unknown key", key)
+            kinds = (int,) if reads[key].annotation is int else (int, float)
+            _expect(value is None or type(value) in kinds, f"entry {key!r} "
+                    f"must be {' or '.join(t.__name__ for t in kinds)}", value)
+    ids = [_entry_id(entry) for entry in entries]
+    _expect(len(set(ids)) == len(ids), "two entries share an id", ids)
 
 
 def _entry_id(entry):
-    if entry["family"] == "windmill":
-        return (f"windmill-b{entry['blades']}-s{entry['blade_size']}")
-    bits = [entry["family"], f"n{entry['n']}"]
-    if entry.get("m") is not None:
-        bits.append(f"m{entry['m']}")
-    return "-".join(bits)
+    """The entry's family, then each parameter it gives, in the order of
+    the family's generator signature: entries that differ differ in id."""
+    return "-".join([entry["family"]] + [
+        f"{name}{entry[name]}" for name in family_params(entry["family"])
+        if entry.get(name) is not None])
 
 
 def _suite_instance(spec, entry, i):
@@ -263,10 +265,11 @@ def _suite_instance(spec, entry, i):
     seed = spec.get("seed", 0) + i
     g = generate(entry["family"], seed,
                  **{key: v for key, v in entry.items() if key != "family"})
+    k = _k_for(spec["algorithms"], spec.get("k"))
     out = {}
     for algo in spec["algorithms"]:
         try:
-            result = run_algorithm(algo, g, 0, spec.get("k", 2))
+            result = run_algorithm(algo, g, 0, k)
         except NegativeWeightPresent as exc:
             out[algo] = f"SKIPPED: {exc}"
             continue
@@ -324,21 +327,21 @@ def _parse_fractions(text):
 
 def cmd_sweep_edges(args) -> int:
     fractions = _parse_fractions(args.fractions)
-    # --weight-lo / --weight-hi weigh the added edges, not the family's
-    flags = ("n", "m", "neg_fraction", "blades", "blade_size")
+    k = _k_for([args.algo], args.k)
     if args.graph:
-        if args.family or any(getattr(args, f) is not None for f in flags):
+        if args.family or any(getattr(args, f) is not None
+                              for f in SWEEP_FLAGS):
             raise SpecInvalid("a graph file takes neither --family nor its "
                               "generator flags")
         g0 = read_file(args.graph)
     elif args.family:
-        g0 = _generate(args, flags)
+        g0 = _generate(args, SWEEP_FLAGS)
     else:
         raise SpecInvalid("sweep-edges needs a graph file or --family")
     rows = []
 
     def measure(g, fraction):
-        result = run_algorithm(args.algo, g, args.source, args.k)
+        result = run_algorithm(args.algo, g, args.source, k)
         check = _check(g, args.source, result)
         rows.append([f"{fraction:.6f}", g.n, g.m, g.m - g0.m,
                      result.stats.wall_time_ns,
@@ -413,6 +416,12 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _add_flags(parser, flags):
+    for flag in flags:
+        parser.add_argument("--" + flag.replace("_", "-"),
+                            type=GEN_FLAGS[flag])
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="jfrbench",
@@ -421,14 +430,8 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate a graph")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--neg-fraction", type=float)
-    p.add_argument("--weight-lo", type=float, default=None)
-    p.add_argument("--weight-hi", type=float, default=None)
-    p.add_argument("--blades", type=int)
-    p.add_argument("--blade-size", type=int)
+    _add_flags(p, GEN_FLAGS)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen)
 
@@ -437,7 +440,7 @@ def _build_parser():
     p.add_argument("--algo", required=True)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="jfr depth (default 2)")
     p.add_argument("--check", action="store_true")
     p.add_argument("--out", help="write full labels to a JSON file")
     p.set_defaults(func=cmd_run)
@@ -448,7 +451,7 @@ def _build_parser():
     p.add_argument("--jfr", default="jfr-pq")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="jfr depth (default 2)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("suite", help="run a suite spec (default: desk suite)")
@@ -460,17 +463,13 @@ def _build_parser():
                        help="measure one algorithm while adding edges")
     p.add_argument("graph", nargs="?")
     p.add_argument("--family")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--neg-fraction", type=float)
-    p.add_argument("--blades", type=int)
-    p.add_argument("--blade-size", type=int)
+    _add_flags(p, SWEEP_FLAGS)
     p.add_argument("--fractions", required=True,
                    help="comma-separated list, each in (0,1]")
     p.add_argument("--algo", default="jfr-pq")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, help="jfr depth (default 2)")
     p.add_argument("--weight-lo", type=float, default=0.0)
     p.add_argument("--weight-hi", type=float, default=10.0)
     p.add_argument("-o", "--out")

@@ -36,20 +36,21 @@ Families
     SPFA-SLF, while a global-minimum priority order pops the best improver
     first and settles the amplifier once.
 
-All randomness comes from ``random.Random`` (Mersenne Twister) seeded with
-the 64-bit spec seed; identical parameters give byte-identical graphs.
+``FAMILIES`` maps each name to its generator, whose signature is the one
+list of the family's parameters with their types and defaults; ``generate``,
+the suite and the CLI flags all read it.  All randomness comes from
+``random.Random`` (Mersenne Twister) seeded with the 64-bit seed;
+identical parameters give byte-identical graphs.
 Weights are rounded to 6 decimal digits to keep path sums well
 conditioned.
 """
 
+import inspect
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import PotentialUnavailable, SpecInvalid
 from .graph import EdgeListDoc, Graph, from_edge_list
-
-_FAMILIES = ("sparse-random", "neg-dense", "windmill", "slf-killer")
 
 # smallest base offset for potential-shifted weights: large against float
 # rounding error so no cycle can telescope to a (spuriously) negative sum
@@ -60,67 +61,41 @@ def _r6(x: float) -> float:
     return round(x, 6)
 
 
-@dataclass
-class GenSpec:
-    family: str
-    n: int = 0
-    m: int = 0
-    weight_lo: float = 0.0
-    weight_hi: float = 10.0
-    neg_fraction: float = 0.0
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.family not in _FAMILIES:
-            raise SpecInvalid(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise SpecInvalid("n must be >= 1")
-        if self.m < 0:
-            raise SpecInvalid("m must be >= 0")
-        if self.weight_lo > self.weight_hi:
-            raise SpecInvalid("weight_lo must be <= weight_hi")
-        if not 0.0 <= self.neg_fraction <= 1.0:
-            raise SpecInvalid("neg_fraction must be in [0, 1]")
+def _check_ranges(n, m, weight_lo, weight_hi, neg_fraction=0.0):
+    if n < 1:
+        raise SpecInvalid("n must be >= 1")
+    if m < 0:
+        raise SpecInvalid("m must be >= 0")
+    if not 0.0 <= weight_lo <= weight_hi:
+        raise SpecInvalid("weights need 0 <= weight_lo <= weight_hi")
+    if not 0.0 <= neg_fraction <= 1.0:
+        raise SpecInvalid("neg_fraction must be in [0, 1]")
 
 
-def gen_sparse_random(spec: GenSpec) -> Graph:
-    spec.validate()
-    if spec.family != "sparse-random":
-        raise SpecInvalid(f"family {spec.family!r} is not sparse-random")
-    if spec.weight_lo < 0:
-        raise SpecInvalid("sparse-random weights must be non-negative")
-    rng = random.Random(spec.seed)
-    n, lo, hi = spec.n, spec.weight_lo, spec.weight_hi
+def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,
+                      weight_hi: float = 10.0) -> Graph:
+    _check_ranges(n, m, weight_lo, weight_hi)
+    rng = random.Random(seed)
     edges = []
-    for _ in range(spec.m):
+    for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
-        edges.append((u, v, _r6(rng.uniform(lo, hi))))
+        edges.append((u, v, _r6(rng.uniform(weight_lo, weight_hi))))
     return from_edge_list(EdgeListDoc(n, edges))
 
 
-def gen_neg_dense(spec: GenSpec) -> Graph:
-    spec.validate()
-    if spec.family != "neg-dense":
-        raise SpecInvalid(f"family {spec.family!r} is not neg-dense")
-    if spec.weight_lo < 0:
-        raise SpecInvalid("neg-dense base weights must be non-negative; "
-                          "negativity is steered by neg_fraction")
-    rng = random.Random(spec.seed)
-    n, m, f = spec.n, spec.m, spec.neg_fraction
-    lo, hi = spec.weight_lo, spec.weight_hi
-    if f == 0.0:
-        potentials = [0.0] * n
-        edges = []
-        for _ in range(m):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            w0 = rng.uniform(max(lo, _W0_FLOOR), max(hi, 1.0))
-            edges.append((u, v, _r6(w0)))
-        g = from_edge_list(EdgeListDoc(n, edges))
-        g.potentials = potentials
+def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
+                  weight_hi: float = 10.0,
+                  neg_fraction: float = 0.3) -> Graph:
+    _check_ranges(n, m, weight_lo, weight_hi, neg_fraction)
+    if neg_fraction == 0.0:  # plain positive weights, zero potentials
+        g = gen_sparse_random(n, m, seed, max(weight_lo, _W0_FLOOR),
+                              max(weight_hi, 1.0))
+        g.potentials = [0.0] * n
         return g
-    spread = max(1.0, hi)
+    rng = random.Random(seed)
+    f = neg_fraction
+    spread = max(1.0, weight_hi)
     potentials = [_r6(rng.uniform(0.0, spread)) for _ in range(n)]
     # Base weights live in one narrow band.  High fractions need the band
     # pushed toward zero (an up-potential edge goes negative only when the
@@ -293,40 +268,40 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
     return from_edge_list(EdgeListDoc(g.n, edges))
 
 
-def generate(family: str, seed: int, n: "int | None" = None,
-             m: "int | None" = None, weight_lo: "float | None" = None,
-             weight_hi: "float | None" = None,
-             neg_fraction: "float | None" = None,
-             blades: "int | None" = None,
-             blade_size: "int | None" = None) -> Graph:
-    """Single entry point used by the CLI and the suite runner.  Weights
-    and ``neg_fraction`` left None take the family's defaults."""
-    if family == "sparse-random":
-        if n is None or m is None:
-            raise SpecInvalid("sparse-random needs n and m")
-        return gen_sparse_random(GenSpec(
-            family=family, n=n, m=m,
-            weight_lo=0.0 if weight_lo is None else weight_lo,
-            weight_hi=10.0 if weight_hi is None else weight_hi,
-            seed=seed))
-    if family == "neg-dense":
-        if n is None or m is None:
-            raise SpecInvalid("neg-dense needs n and m")
-        return gen_neg_dense(GenSpec(
-            family=family, n=n, m=m,
-            weight_lo=0.0 if weight_lo is None else weight_lo,
-            weight_hi=10.0 if weight_hi is None else weight_hi,
-            neg_fraction=0.3 if neg_fraction is None else neg_fraction,
-            seed=seed))
-    if family == "windmill":
-        if blades is None or blade_size is None:
-            raise SpecInvalid("windmill needs blades and blade_size")
-        return gen_windmill(
-            blades, blade_size, seed,
-            weight_lo=1.0 if weight_lo is None else weight_lo,
-            weight_hi=10.0 if weight_hi is None else weight_hi)
-    if family == "slf-killer":
-        if n is None:
-            raise SpecInvalid("slf-killer needs n")
-        return gen_slf_killer(n, seed)
-    raise SpecInvalid(f"unknown family {family!r}")
+FAMILIES = {
+    "sparse-random": gen_sparse_random,
+    "neg-dense": gen_neg_dense,
+    "windmill": gen_windmill,
+    "slf-killer": gen_slf_killer,
+}
+_PARAMS = {family: {name: p for name, p in
+                    inspect.signature(gen).parameters.items()
+                    if name != "seed"}
+           for family, gen in FAMILIES.items()}
+
+
+def family_params(family: str) -> dict:
+    """What ``family``'s generator reads besides the seed, in signature
+    order: name -> ``inspect.Parameter``, whose annotation is the type and
+    whose default is the family's default (``Parameter.empty``: none)."""
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise SpecInvalid(f"unknown family {family!r}; choose from "
+                          f"{', '.join(FAMILIES)}")
+    return _PARAMS[family]
+
+
+def generate(family: str, seed: int, **params) -> Graph:
+    """Single entry point used by the CLI, the suite runner and the
+    benchmark.  ``family`` gets those ``params`` its generator reads; one
+    left None takes the family's default, and one that only other families
+    read is ignored."""
+    reads = family_params(family)
+    for name in params:
+        if not any(name in other for other in _PARAMS.values()):
+            raise SpecInvalid(f"no family reads a parameter {name!r}")
+    given = {name: value for name, value in params.items()
+             if name in reads and value is not None}
+    required = [name for name, p in reads.items() if p.default is p.empty]
+    if any(name not in given for name in required):
+        raise SpecInvalid(f"{family} needs {' and '.join(required)}")
+    return FAMILIES[family](seed=seed, **given)

@@ -8,9 +8,7 @@ inspection costs in wall time, and their ratio is the clock ratio:
     rho_ops / rho_tpr == time_base / time_jfr        (exactly)
 
 so "fewer operations win out" (``rho_ops > rho_tpr``) is the clock
-comparison itself, not a prediction of it.  ``nwr`` is the normalized
-work ratio ops_jfr / ops_base: the fraction of baseline relaxation work
-the jump-frontier run needed (``rho_ops * nwr == 1``).
+comparison itself, not a prediction of it.
 """
 
 from dataclasses import dataclass
@@ -28,7 +26,6 @@ class Comparison:
     time_jfr_ns: int
     rho_ops: float
     rho_tpr: float
-    nwr: float
 
 
 def compare(base: RunStats, jfr: RunStats) -> Comparison:
@@ -47,10 +44,9 @@ def compare(base: RunStats, jfr: RunStats) -> Comparison:
         raise ZeroOps("both runs must have a positive wall time")
     rho_ops = ops_b / ops_j
     rho_tpr = (t_j / ops_j) / (t_b / ops_b)
-    nwr = ops_j / ops_b
     return Comparison(ops_base=ops_b, ops_jfr=ops_j,
                       time_base_ns=t_b, time_jfr_ns=t_j,
-                      rho_ops=rho_ops, rho_tpr=rho_tpr, nwr=nwr)
+                      rho_ops=rho_ops, rho_tpr=rho_tpr)
 
 
 @dataclass

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import rule_before_certify
 from jfrbench.baselines import bellman_ford
-from jfrbench.cli import ALGORITHMS, ENTRY_KEYS, SPEC_KEYS, main
-from jfrbench.generators import generate, plant_negative_cycle
+from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
+from jfrbench.generators import (FAMILIES, family_params, generate,
+                                 plant_negative_cycle)
 from jfrbench.graph import from_edge_list, read_text, write_file
 from jfrbench.results import RunStats, SsspResult
 
@@ -80,14 +81,19 @@ def test_run_jfr_pq_honors_k(capsys, tmp_path):
     g = gen_graph(capsys, tmp_path, "--family", "neg-dense", "--n", "200",
                   "--m", "1000", "--seed", "3")
     ops = {}
-    for k in ("1", "4"):
+    for k in ("1", "4", "2", None):
         code, out, _ = run_cli(capsys, "run", g, "--algo", "jfr-pq",
-                               "--k", k, "--check")
+                               "--check", *(["--k", k] if k else []))
         assert code == 0
         row = strict_json(out)
         assert row["check"] == "PASS"
         ops[k] = row["edge_inspections"]
-    assert ops["1"] != ops["4"]
+    assert ops["1"] != ops["4"] and ops[None] == ops["2"]  # default k = 2
+    # a given k reaches the jfr side of a comparison with a baseline
+    code, out, _ = run_cli(capsys, "compare", g, "--base", "slf", "--k", "1")
+    assert code == 0
+    assert int(dict(zip(*csv.reader(out.splitlines()[1:3])))["ops_jfr"]) \
+        == ops["1"]
     code, _, err = run_cli(capsys, "run", g, "--algo", "jfr-pq", "--k", "0")
     assert code == 1 and "error: k must be >= 1" in err
 
@@ -113,11 +119,11 @@ def test_compare_same_algorithm_is_neutral(capsys, tmp_path):
                            "--jfr", "spfa", "--repetitions", "2")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "#schema=2"
+    assert lines[0] == "#schema=3"
     row = dict(zip(*csv.reader(lines[1:3])))
     assert "predicted_speedup" not in row and "observed_speedup" not in row
+    assert "nwr" not in row  # 1 / rho_ops
     assert float(row["rho_ops"]) == 1.0
-    assert float(row["nwr"]) == 1.0
     assert row["check_base"] == row["check_jfr"] == "PASS"
 
 
@@ -125,7 +131,6 @@ def write_suite(tmp_path, **overrides):
     spec = {
         "seed": 11,
         "repetitions": 2,
-        "k": 2,
         "algorithms": ["bf", "slf", "jfr-pq"],
         "entries": [
             {"family": "neg-dense", "n": 40, "m": 200, "neg_fraction": 0.4},
@@ -186,6 +191,23 @@ def test_suite_validation(capsys, tmp_path):
     assert run_cli(capsys, "suite", spec)[0] == 1
     spec = write_suite(tmp_path, algorithms=["bogus"])
     assert run_cli(capsys, "suite", spec)[0] == 1
+
+
+def test_suite_ids_name_every_given_parameter(capsys, tmp_path):
+    spec = write_suite(tmp_path, algorithms=["bf"], entries=[
+        {"family": "neg-dense", "n": 30, "m": 120, "neg_fraction": 0.2},
+        {"family": "neg-dense", "n": 30, "m": 120, "neg_fraction": 0.6},
+        {"family": "windmill", "blades": 3, "blade_size": 4},
+        {"family": "windmill", "blade_size": 4, "blades": 3,
+         "weight_lo": 2.0}])
+    code, out, err = run_cli(capsys, "suite", spec)
+    assert code == 0, err
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [r["id"] for r in rows] == [
+        "neg-dense-n30-m120-neg_fraction0.2",
+        "neg-dense-n30-m120-neg_fraction0.6",
+        "windmill-blades3-blade_size4",
+        "windmill-blades3-blade_size4-weight_lo2.0"]
 
 
 def test_sweep_edges_rows(capsys, tmp_path):
@@ -335,6 +357,16 @@ MALFORMED = {
         "compare", graph, "--repetitions", "0"],
     "suite-repetitions-string": _suite_with(repetitions="3"),
     "suite-k-string": _suite_with(k="2"),
+    "suite-k-without-jfr": _suite_with(k=-4, algorithms=["bf"]),
+    "suite-entry-ids-collide": _suite_with(entries=[
+        {"family": "slf-killer", "n": 60}, {"n": 60, "family": "slf-killer"}]),
+    "run-k-without-jfr": lambda tmp_path, graph: [
+        "run", graph, "--algo", "bf", "--k", "-5"],
+    "compare-k-without-jfr": lambda tmp_path, graph: [
+        "compare", graph, "--base", "bf", "--jfr", "slf", "--k", "-3"],
+    "sweep-edges-k-without-jfr": lambda tmp_path, graph: [
+        "sweep-edges", graph, "--algo", "slf", "--k", "-5",
+        "--fractions", "0.5"],
     "suite-entry-n-string": _suite_with(entries=[
         {"family": "slf-killer", "n": "60"}]),
     "suite-spec-list": lambda tmp_path, graph: [
@@ -514,9 +546,10 @@ def present(draw, known):
 
 @st.composite
 def suite_entries(draw):
-    family = maybe(draw, st.sampled_from(sorted(ENTRY_KEYS) * 3 + ["bogus"]))
+    family = maybe(draw, st.sampled_from(sorted(FAMILIES) * 3 + ["bogus"]))
     entry = {} if one_in(draw, 25) else {"family": family}
-    reads = ENTRY_KEYS.get(family, ()) if isinstance(family, str) else ()
+    reads = family_params(family) \
+        if isinstance(family, str) and family in FAMILIES else ()
     for key, values in ENTRY_VALUES.items():
         if present(draw, key in reads):
             entry[key] = maybe(draw, values)

@@ -4,9 +4,9 @@ import pytest
 
 from jfrbench.baselines import bellman_ford, spfa_slf
 from jfrbench.errors import PotentialUnavailable, SpecInvalid
-from jfrbench.generators import (GenSpec, add_edges, gen_neg_dense,
-                                 gen_slf_killer, gen_sparse_random,
-                                 gen_windmill, generate,
+from jfrbench.generators import (FAMILIES, add_edges, family_params,
+                                 gen_neg_dense, gen_slf_killer,
+                                 gen_sparse_random, gen_windmill, generate,
                                  plant_negative_cycle)
 from jfrbench.graph import write_text
 from jfrbench.jfr import jfr_pq
@@ -16,24 +16,24 @@ def graph_bytes(g):
     return write_text(g.to_edge_list())
 
 
-def test_genspec_validation():
-    with pytest.raises(SpecInvalid):
-        GenSpec("bogus", n=10, m=10).validate()
-    with pytest.raises(SpecInvalid):
-        GenSpec("sparse-random", n=0, m=10).validate()
-    with pytest.raises(SpecInvalid):
-        GenSpec("sparse-random", n=10, m=-1).validate()
-    with pytest.raises(SpecInvalid):
-        GenSpec("sparse-random", n=10, m=10, weight_lo=5.0,
-                weight_hi=1.0).validate()
-    with pytest.raises(SpecInvalid):
-        GenSpec("neg-dense", n=10, m=10, neg_fraction=1.5).validate()
+def test_generator_validation():
+    for gen in (gen_sparse_random, gen_neg_dense):
+        with pytest.raises(SpecInvalid):
+            gen(0, 10, 1)
+        with pytest.raises(SpecInvalid):
+            gen(10, -1, 1)
+        with pytest.raises(SpecInvalid):
+            gen(10, 10, 1, weight_lo=5.0, weight_hi=1.0)
+        with pytest.raises(SpecInvalid):
+            gen(10, 10, 1, weight_lo=-1.0)
+        assert gen(1, 0, 1).m == 0
+    for f in (-0.1, 1.5):
+        with pytest.raises(SpecInvalid):
+            gen_neg_dense(10, 10, 1, neg_fraction=f)
 
 
 def test_sparse_random_shape_and_range():
-    spec = GenSpec("sparse-random", n=120, m=600, weight_lo=1.0,
-                   weight_hi=3.0, seed=9)
-    g = gen_sparse_random(spec)
+    g = gen_sparse_random(120, 600, 9, weight_lo=1.0, weight_hi=3.0)
     assert g.n == 120 and g.m == 600
     assert all(1.0 <= w <= 3.0 for w in g.weights)
     assert g.potentials is None
@@ -41,10 +41,8 @@ def test_sparse_random_shape_and_range():
 
 def test_determinism_byte_identity():
     builders = [
-        lambda s: gen_sparse_random(GenSpec("sparse-random", n=80, m=300,
-                                            seed=s)),
-        lambda s: gen_neg_dense(GenSpec("neg-dense", n=60, m=400,
-                                        neg_fraction=0.4, seed=s)),
+        lambda s: gen_sparse_random(80, 300, s),
+        lambda s: gen_neg_dense(60, 400, s, neg_fraction=0.4),
         lambda s: gen_windmill(3, 5, s),
         lambda s: gen_slf_killer(100, s),
     ]
@@ -55,8 +53,7 @@ def test_determinism_byte_identity():
 
 def test_neg_dense_fraction_is_respected():
     for f in (0.0, 0.15, 0.5, 0.85):
-        g = gen_neg_dense(GenSpec("neg-dense", n=300, m=20000,
-                                  neg_fraction=f, seed=7))
+        g = gen_neg_dense(300, 20000, 7, neg_fraction=f)
         measured = sum(1 for w in g.weights if w < 0) / g.m
         assert abs(measured - f) < 0.04, (f, measured)
 
@@ -64,15 +61,13 @@ def test_neg_dense_fraction_is_respected():
 def test_neg_dense_has_no_negative_cycle_anywhere():
     # exhaustive: BF from every vertex reaches every cycle
     for seed in range(20):
-        g = gen_neg_dense(GenSpec("neg-dense", n=30, m=240, neg_fraction=0.6,
-                                  seed=seed))
+        g = gen_neg_dense(30, 240, seed, neg_fraction=0.6)
         for s in range(g.n):
             assert not bellman_ford(g, s).neg_cycle, (seed, s)
 
 
 def test_neg_dense_carries_potentials():
-    g = gen_neg_dense(GenSpec("neg-dense", n=40, m=200, neg_fraction=0.3,
-                              seed=1))
+    g = gen_neg_dense(40, 200, 1, neg_fraction=0.3)
     assert g.potentials is not None and len(g.potentials) == 40
 
 
@@ -128,8 +123,7 @@ def test_slf_killer_suppression_at_moderate_size():
 
 
 def test_add_edges_count_and_prefix():
-    g = gen_neg_dense(GenSpec("neg-dense", n=30, m=200, neg_fraction=0.5,
-                              seed=3))
+    g = gen_neg_dense(30, 200, 3, neg_fraction=0.5)
     g2 = add_edges(g, 0.25, 0.0, 10.0, seed=99)
     assert g2.m == 250
     assert g2.potentials is g.potentials
@@ -139,8 +133,7 @@ def test_add_edges_count_and_prefix():
 
 
 def test_add_edges_keeps_neg_dense_cycle_free():
-    g = gen_neg_dense(GenSpec("neg-dense", n=25, m=150, neg_fraction=0.7,
-                              seed=5))
+    g = gen_neg_dense(25, 150, 5, neg_fraction=0.7)
     g2 = add_edges(g, 1.0, 0.0, 10.0, seed=6)
     for s in range(g2.n):
         assert not bellman_ford(g2, s).neg_cycle
@@ -154,7 +147,7 @@ def test_add_edges_single_edge_graph():
 
 
 def test_add_edges_validation():
-    g = gen_sparse_random(GenSpec("sparse-random", n=20, m=50, seed=1))
+    g = gen_sparse_random(20, 50, 1)
     with pytest.raises(SpecInvalid):
         add_edges(g, 0.0, 0.0, 1.0, seed=1)
     with pytest.raises(SpecInvalid):
@@ -170,21 +163,21 @@ def test_add_edges_negative_graph_without_potentials():
 
 
 def test_add_edges_plain_nonnegative_graph():
-    g = gen_sparse_random(GenSpec("sparse-random", n=20, m=50, seed=1))
+    g = gen_sparse_random(20, 50, 1)
     g2 = add_edges(g, 0.2, 1.0, 2.0, seed=4)
     assert g2.m == 60
     assert all(w >= 0 for w in g2.weights)
 
 
 def test_plant_negative_cycle_reachable_and_negative():
-    base = gen_sparse_random(GenSpec("sparse-random", n=40, m=120, seed=8))
+    base = gen_sparse_random(40, 120, 8)
     g = plant_negative_cycle(base, 5, seed=8)
     r = bellman_ford(g, 0)
     assert r.neg_cycle
 
 
 def test_plant_negative_cycle_validation():
-    base = gen_sparse_random(GenSpec("sparse-random", n=10, m=20, seed=1))
+    base = gen_sparse_random(10, 20, 1)
     with pytest.raises(SpecInvalid):
         plant_negative_cycle(base, 1, seed=1)
     with pytest.raises(SpecInvalid):
@@ -204,3 +197,27 @@ def test_generate_dispatcher():
         generate("sparse-random", 1, n=10)  # missing m
     with pytest.raises(SpecInvalid):
         generate("windmill", 1, blades=2)  # missing blade_size
+    with pytest.raises(SpecInvalid):
+        generate("neg-dense", 1, n=10, m=20, neg_fracton=0.5)  # no one's
+    # None takes the default; a parameter another family reads is ignored
+    plain = graph_bytes(gen_slf_killer(20, 1))
+    assert graph_bytes(generate("slf-killer", 1, n=20, m=None,
+                                neg_fraction=0.3, blades=4)) == plain
+    assert graph_bytes(generate("neg-dense", 1, n=100, m=500)) \
+        == graph_bytes(gen_neg_dense(100, 500, 1)) \
+        == graph_bytes(generate("neg-dense", 1, n=100, m=500,
+                                neg_fraction=None, weight_hi=None))
+    assert sum(w < 0 for w in gen_neg_dense(100, 500, 1).weights) > 0
+
+
+def test_family_params_come_from_the_generator_signatures():
+    assert list(FAMILIES) == ["sparse-random", "neg-dense", "windmill",
+                              "slf-killer"]
+    assert list(family_params("neg-dense")) == [
+        "n", "m", "weight_lo", "weight_hi", "neg_fraction"]
+    assert family_params("neg-dense")["neg_fraction"].default == 0.3
+    assert family_params("windmill")["blades"].annotation is int
+    assert list(family_params("slf-killer")) == ["n"]
+    for bad in ("bogus", ["slf-killer"]):
+        with pytest.raises(SpecInvalid):
+            family_params(bad)

@@ -6,7 +6,7 @@ from conftest import potential_graph, triangle
 from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.errors import (BrokenParentChain, JfrError, MissingEdge,
                              NegCycleResult, NoCycleRecorded, Unreachable)
-from jfrbench.generators import GenSpec, gen_sparse_random, plant_negative_cycle
+from jfrbench.generators import gen_sparse_random, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
 from jfrbench.paths import (cycle_weight, detect_negative_cycle,
@@ -88,8 +88,7 @@ def test_detect_negative_cycle_all_solvers():
     solvers = [bellman_ford, spfa_fifo, spfa_slf, jfr_pq,
                lambda g, s: jfr_strict(g, s, 2)]
     for seed in range(15):
-        base = gen_sparse_random(GenSpec("sparse-random", n=40, m=150,
-                                         seed=seed))
+        base = gen_sparse_random(40, 150, seed)
         g = plant_negative_cycle(base, 3 + seed % 4, seed=seed)
         for solve in solvers:
             r = solve(g, 0)
