@@ -3,8 +3,12 @@
 All solvers share the relaxation convention: strict ``<`` with no epsilon,
 first writer wins on ties, distances start at ``inf`` except the source.
 Negative-cycle handling differs by family: Bellman-Ford flags an n-th pass
-that still improves, the queue-based solvers flag a vertex improved ``n``
-times (a simple-path distance can improve at most ``n - 1`` times).
+that still improves.  The queue-based solvers walk the popped vertex's
+parent chain each time their inspection count has doubled (first at n)
+and flag a chain that ends in a cycle: every parent cycle of a
+label-correcting run is negative, and a label below the lightest simple
+path to its vertex has a chain that cannot reach the source (Cherkassky
+and Goldberg, "Negative-cycle detection algorithms", 1999).
 """
 
 import heapq
@@ -14,6 +18,7 @@ from collections import deque
 
 from .errors import IndexOutOfRange, NegativeWeightPresent
 from .graph import Graph
+from .paths import on_parent_cycle
 from .results import RunStats, SsspResult
 
 INF = math.inf
@@ -91,11 +96,16 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
     inspections = 0
     pushes = 1
     pops = 0
-    neg_cycle = False
+    next_walk = n
     witness = None
     t0 = time.perf_counter_ns()
     while dq:
         u = dq.popleft()
+        if inspections >= next_walk:
+            witness = on_parent_cycle(parent, u)
+            if witness is not None:
+                break
+            next_walk = 2 * inspections
         in_queue[u] = False
         pops += 1
         du = dist[u]
@@ -107,10 +117,6 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
                 dist[v] = cand
                 parent[v] = u
                 improvements[v] += 1
-                if improvements[v] >= n:
-                    neg_cycle = True
-                    witness = v
-                    break
                 if not in_queue[v]:
                     in_queue[v] = True
                     activations[v] += 1
@@ -121,8 +127,6 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
                         dq.appendleft(v)
                     else:
                         dq.append(v)
-        if neg_cycle:
-            break
     wall = time.perf_counter_ns() - t0
     stats = RunStats(
         mode=mode,
@@ -134,7 +138,7 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
         improvements=improvements,
         wall_time_ns=wall,
     )
-    return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
+    return SsspResult(dist, parent, witness is not None, stats, witness)
 
 
 def spfa_fifo(g: Graph, source: int) -> SsspResult:

@@ -28,6 +28,7 @@ import time
 
 from .baselines import check_source
 from .graph import Graph
+from .paths import on_parent_cycle
 from .results import RunStats, SsspResult
 
 INF = math.inf
@@ -153,7 +154,7 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     frontier_inspections = 0
     successes = 0
     outer = 0
-    neg_cycle = False
+    next_walk = n
     witness = None
     t0 = time.perf_counter_ns()
     while frontier:
@@ -182,10 +183,15 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                     in_improved[v] = True
                     improved.append(v)
         # an improvement in iteration n or later is impossible without a
-        # reachable negative cycle
+        # reachable negative cycle; before that, the parent walk of
+        # baselines._spfa runs once per round
+        inspections = frontier_inspections + stats.edge_inspections
         if improved and outer >= n:
-            neg_cycle = True
             witness = improved[0]
+        elif improved and inspections >= next_walk:
+            witness = on_parent_cycle(parent, improved[0])
+            next_walk = 2 * inspections
+        if witness is not None:
             break
         # (c) promote this iteration's improved set to the next frontier
         for v in improved:
@@ -196,7 +202,7 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     stats.edge_inspections += frontier_inspections
     stats.successful_relaxations += successes
     stats.outer_iterations = outer
-    return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
+    return SsspResult(dist, parent, witness is not None, stats, witness)
 
 
 def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
@@ -222,7 +228,7 @@ def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
     pushes = 1
     pops = 0
     stale = 0
-    neg_cycle = False
+    next_walk = n
     witness = None
     heappush, heappop = heapq.heappush, heapq.heappop
     t0 = time.perf_counter_ns()
@@ -231,23 +237,23 @@ def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
         if key != dist[u]:
             stale += 1
             continue
+        # the parent walk of baselines._spfa
+        if stats.edge_inspections >= next_walk:
+            witness = on_parent_cycle(parent, u)
+            if witness is not None:
+                break
+            next_walk = 2 * stats.edge_inspections
         pops += 1
         activations[u] += 1
         for v in lmh_propagate(g, (u,), k, dist, parent, stats, ws):
-            if improvements[v] >= n:
-                neg_cycle = True
-                witness = v
-                break
             # scan-once: skip v if a later wave of this call already
             # relaxed its out-edges at its current label
             dv = dist[v]
             if dv != scanned[v]:
                 heappush(heap, (dv, v))
                 pushes += 1
-        if neg_cycle:
-            break
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.queue_pushes = pushes
     stats.stale_pops = stale
     stats.outer_iterations = pops
-    return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
+    return SsspResult(dist, parent, witness is not None, stats, witness)

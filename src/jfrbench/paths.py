@@ -80,15 +80,26 @@ def parent_cycles(parent: list) -> list:
     return cycles
 
 
-def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
-    """Extract a cycle from the parent pointers of an over-improved run.
+def on_parent_cycle(parent: list, v: int) -> "int | None":
+    """The vertex ``n = len(parent)`` steps up ``v``'s parent chain, which
+    lies on a parent cycle (n steps over n vertices repeat one), or None
+    if the chain reaches a root first."""
+    for _ in range(len(parent)):
+        v = parent[v]
+        if v is None:
+            return None
+    return v
 
-    Walks parent pointers ``n`` steps back from the vertex that tripped the
-    negative-cycle guard; after ``n`` steps the walk must sit inside a
-    cycle of the parent graph, which is then peeled off and returned in
-    forward edge order.  A result without that witness (one read from a
-    file, say) gives the first cycle of its parent graph; weigh it with
-    :func:`cycle_weight`.
+
+def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
+    """Extract a cycle from the parent pointers of a flagged run.
+
+    The solvers' ``cycle_witness`` lies on a parent cycle, or at least has
+    one up its chain: :func:`on_parent_cycle` walks to a vertex on it,
+    which is then peeled off and returned in forward edge order.  A
+    witness whose chain reaches a root raises BrokenParentChain.  A
+    result without a witness (one read from a file, say) gives the first
+    cycle of its parent graph; weigh it with :func:`cycle_weight`.
     """
     if not result.neg_cycle:
         raise NoCycleRecorded("result does not flag a negative cycle")
@@ -99,9 +110,7 @@ def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
         if not cycles:
             raise NoCycleRecorded("the parent pointers hold no cycle")
         return cycles[0]
-    for _ in range(g.n):
-        nxt = parent[x]
-        if nxt is None:
-            raise BrokenParentChain("parent walk left the improved region")
-        x = nxt
+    x = on_parent_cycle(parent, x)
+    if x is None:
+        raise BrokenParentChain("parent walk left the improved region")
     return _peel_cycle(parent, x)

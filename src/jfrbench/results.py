@@ -48,5 +48,6 @@ class SsspResult:
     parent: list["int | None"]
     neg_cycle: bool
     stats: RunStats
-    # vertex whose over-improvement tripped the negative-cycle guard
+    # a vertex on a parent cycle, or one improved in an n-th round
+    # (bellman_ford, jfr_strict) whose parent chain leads into one
     cycle_witness: "int | None" = None

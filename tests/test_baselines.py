@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 
@@ -6,8 +7,9 @@ from conftest import chain, potential_graph, triangle
 from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
                                 spfa_slf)
 from jfrbench.errors import NegativeWeightPresent
+from jfrbench.generators import generate, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
-from jfrbench.jfr import jfr_pq
+from jfrbench.jfr import jfr_pq, jfr_strict
 
 INF = math.inf
 
@@ -133,11 +135,35 @@ def test_source_out_of_range():
             alg(potential_graph(5, 5, 1, mixed=False), 5)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the queue solvers "
-                   "flag a cycle once a label improves n times, and two "
-                   "parallel edges improve vertex 1 twice in one scan")
-@pytest.mark.parametrize("solve", [spfa_fifo, spfa_slf, jfr_pq])
+@pytest.mark.parametrize("solve", [
+    spfa_fifo, spfa_slf,
+    *(pytest.param(partial(jfr_pq, k=k), id=f"jfr_pq-k{k}")
+      for k in (1, 2, 3)),
+    *(pytest.param(partial(jfr_strict, k=k), id=f"jfr_strict-k{k}")
+      for k in (1, 2)),
+])
 def test_parallel_edges_are_not_a_negative_cycle(solve):
+    # two parallel edges improve vertex 1 twice in one scan, which an
+    # n-improvements guard took for a cycle
     g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0), (0, 1, 0.5)]))
     r = solve(g, 0)
     assert r.dist == [0.0, 0.5] and not r.neg_cycle
+
+
+def test_negative_cycle_detection_cost():
+    # planted neg-dense graphs, as in the benchmark's neg-cycle workload;
+    # each queue solver's bound is half of what it inspected under a
+    # guard that flagged a vertex improved n times
+    graphs = [plant_negative_cycle(generate("neg-dense", seed, n=40, m=800),
+                                   8, seed, -0.5) for seed in range(1, 17)]
+
+    def inspections(solve):
+        runs = [solve(g, 0) for g in graphs]
+        assert all(r.neg_cycle for r in runs), solve
+        return sum(r.stats.edge_inspections for r in runs)
+
+    assert inspections(partial(jfr_strict, k=2)) \
+        <= inspections(bellman_ford) / 10
+    for solve, before in ((spfa_fifo, 96485), (spfa_slf, 56698),
+                          (jfr_pq, 66169)):
+        assert inspections(solve) <= before / 2, solve

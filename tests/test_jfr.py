@@ -281,15 +281,13 @@ def test_jfr_pq_flags_cycle_that_lowers_the_popped_vertex():
     # 1->2, lowering 2 itself, so 2 must be queued and popped again
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -3.0),
                                        (2, 1, 1.0)]))
-    r = jfr_pq(g, 0, k=2)
-    assert r.neg_cycle and r.cycle_witness == 1
-    assert r.stats.activations == [1, 0, 2]
-    assert r.stats.improvements[r.cycle_witness] >= g.n
-    assert cycle_weight(g, detect_negative_cycle(r, g)) < 0
-    for k in (1, 3, 4):
+    for k in (1, 2, 3, 4):
         r = jfr_pq(g, 0, k=k)
-        assert r.neg_cycle and r.cycle_witness is not None, k
-        assert cycle_weight(g, detect_negative_cycle(r, g)) < 0, k
+        assert r.neg_cycle, k
+        # the witness lies on a parent cycle, and the cycle is negative
+        cycle = detect_negative_cycle(r, g)
+        assert r.cycle_witness in cycle, k
+        assert cycle_weight(g, cycle) < 0, k
 
 
 @pytest.mark.parametrize("family, params", [

@@ -5,6 +5,8 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import potential_graph, rule_before_certify, triangle
 from jfrbench import verify
@@ -16,6 +18,7 @@ from jfrbench.generators import (gen_slf_killer, generate,
                                  plant_negative_cycle)
 from jfrbench.graph import EdgeListDoc, from_edge_list, write_file
 from jfrbench.jfr import jfr_pq, jfr_strict
+from jfrbench.paths import cycle_weight, detect_negative_cycle
 from jfrbench.results import RunStats, SsspResult
 from jfrbench.verify import (certify, check_optimality_conditions,
                              oracle_compare, oracle_verdict)
@@ -219,6 +222,35 @@ def test_certify_vouches_for_every_solver_without_resolving(resolves):
         g = potential_graph(50, 250, seed, mixed=False)
         r = dijkstra_oracle(g, 0)
         assert certify(g, 0, r) == rule_before_certify(g, 0, r)
+    assert resolves == []
+
+
+@st.composite
+def multigraphs(draw):
+    """Small graphs with parallel edges and negative weights, but no
+    negative self-loop; weights are halves, so every sum is exact."""
+    n = draw(st.integers(1, 8))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(-8, 12).map(lambda w: w / 2))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1] or e[2] >= 0),
+                          max_size=4 * n))
+    return from_edge_list(EdgeListDoc(n, edges))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=multigraphs())
+def test_every_solver_flags_exactly_when_bellman_ford_does(resolves, g):
+    want = bellman_ford(g, 0)
+    for solve in SOLVERS[1:] + [partial(jfr_pq, k=3),
+                                partial(jfr_strict, k=3)]:
+        r = solve(g, 0)
+        assert r.neg_cycle == want.neg_cycle, solve
+        if r.neg_cycle:
+            assert cycle_weight(g, detect_negative_cycle(r, g)) < 0, solve
+            assert certify(g, 0, r).ok, solve
+        else:
+            assert r.dist == want.dist, solve
     assert resolves == []
 
 
