@@ -52,8 +52,9 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
             if du == INF:
                 continue
             activations[u] += 1
-            for e in range(offsets[u], offsets[u + 1]):
-                inspections += 1
+            lo, hi = offsets[u], offsets[u + 1]
+            inspections += hi - lo
+            for e in range(lo, hi):
                 cand = du + weights[e]
                 v = targets[e]
                 if cand < dist[v]:
@@ -71,7 +72,6 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
     stats = RunStats(
         mode="bf",
         edge_inspections=inspections,
-        successful_relaxations=sum(improvements),
         outer_iterations=passes,
         activations=activations,
         improvements=improvements,
@@ -80,7 +80,7 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
     return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
 
 
-def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
+def _spfa(g: Graph, source: int, slf: bool) -> SsspResult:
     check_source(g, source)
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
@@ -94,7 +94,6 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
     in_queue[source] = True
     activations[source] = 1
     inspections = 0
-    pushes = 1
     pops = 0
     next_walk = n
     witness = None
@@ -109,8 +108,9 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
         in_queue[u] = False
         pops += 1
         du = dist[u]
-        for e in range(offsets[u], offsets[u + 1]):
-            inspections += 1
+        lo, hi = offsets[u], offsets[u + 1]
+        inspections += hi - lo
+        for e in range(lo, hi):
             cand = du + weights[e]
             v = targets[e]
             if cand < dist[v]:
@@ -120,7 +120,6 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
                 if not in_queue[v]:
                     in_queue[v] = True
                     activations[v] += 1
-                    pushes += 1
                     # smallest-label-first: jump the line when we beat the
                     # label at the head of the deque
                     if slf and dq and cand < dist[dq[0]]:
@@ -129,10 +128,9 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
                         dq.append(v)
     wall = time.perf_counter_ns() - t0
     stats = RunStats(
-        mode=mode,
+        mode="spfa-slf" if slf else "spfa-fifo",
         edge_inspections=inspections,
-        successful_relaxations=sum(improvements),
-        queue_pushes=pushes,
+        queue_pushes=sum(activations),
         outer_iterations=pops,
         activations=activations,
         improvements=improvements,
@@ -143,12 +141,12 @@ def _spfa(g: Graph, source: int, slf: bool, mode: str) -> SsspResult:
 
 def spfa_fifo(g: Graph, source: int) -> SsspResult:
     """Queue-based label correcting with plain FIFO order."""
-    return _spfa(g, source, slf=False, mode="spfa-fifo")
+    return _spfa(g, source, slf=False)
 
 
 def spfa_slf(g: Graph, source: int) -> SsspResult:
     """SPFA with the smallest-label-first deque heuristic."""
-    return _spfa(g, source, slf=True, mode="spfa-slf")
+    return _spfa(g, source, slf=True)
 
 
 def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
@@ -168,7 +166,6 @@ def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
     heap = [(0.0, source)]
     activations[source] = 1
     inspections = 0
-    pushes = 1
     pops = 0
     stale = 0
     t0 = time.perf_counter_ns()
@@ -178,8 +175,9 @@ def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
             stale += 1
             continue
         pops += 1
-        for e in range(offsets[u], offsets[u + 1]):
-            inspections += 1
+        lo, hi = offsets[u], offsets[u + 1]
+        inspections += hi - lo
+        for e in range(lo, hi):
             cand = du + weights[e]
             v = targets[e]
             if cand < dist[v]:
@@ -187,14 +185,12 @@ def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
                 parent[v] = u
                 improvements[v] += 1
                 activations[v] += 1
-                pushes += 1
                 heapq.heappush(heap, (cand, v))
     wall = time.perf_counter_ns() - t0
     stats = RunStats(
         mode="dijkstra",
         edge_inspections=inspections,
-        successful_relaxations=sum(improvements),
-        queue_pushes=pushes,
+        queue_pushes=sum(activations),
         stale_pops=stale,
         outer_iterations=pops,
         activations=activations,

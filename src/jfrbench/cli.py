@@ -32,14 +32,17 @@ from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
 from .generators import FAMILIES, add_edges, family_params, generate
 from .graph import Graph, read_file, write_file, write_text
-from .jfr import jfr_pq, jfr_strict
+from .jfr import DEFAULT_K, jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
 from .verify import certify, well_formed_parents
 
 SCHEMA_TAG = "#schema=1"  # suite and sweep-edges rows
 COMPARE_SCHEMA_TAG = "#schema=3"  # compare rows
-ALGORITHMS = ("bf", "spfa", "slf", "jfr-strict", "jfr-pq", "dijkstra")
+ALGORITHMS = {"bf": bellman_ford, "spfa": spfa_fifo, "slf": spfa_slf,
+              "jfr-strict": jfr_strict, "jfr-pq": jfr_pq,
+              "dijkstra": dijkstra_oracle}
+READS_K = ("jfr-strict", "jfr-pq")  # the algorithms called with a depth k
 
 SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
 # every generator parameter and its type, in family-table order: the flags
@@ -64,32 +67,25 @@ DESK_SUITE = {
 }
 
 
-def run_algorithm(name: str, g: Graph, source: int, k: int = 2) -> SsspResult:
-    if name.startswith("jfr-") and k < 1:
+def run_algorithm(name: str, g: Graph, source: int,
+                  k: int = DEFAULT_K) -> SsspResult:
+    if name not in ALGORITHMS:
+        raise UnknownAlgorithm(f"unknown algorithm {name!r}; "
+                               f"choose from {', '.join(ALGORITHMS)}")
+    if name not in READS_K:
+        return ALGORITHMS[name](g, source)
+    if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
-    if name == "bf":
-        return bellman_ford(g, source)
-    if name == "spfa":
-        return spfa_fifo(g, source)
-    if name == "slf":
-        return spfa_slf(g, source)
-    if name == "jfr-strict":
-        return jfr_strict(g, source, k)
-    if name == "jfr-pq":
-        return jfr_pq(g, source, k)
-    if name == "dijkstra":
-        return dijkstra_oracle(g, source)
-    raise UnknownAlgorithm(f"unknown algorithm {name!r}; "
-                           f"choose from {', '.join(ALGORITHMS)}")
+    return ALGORITHMS[name](g, source, k)
 
 
 def _k_for(algorithms, k):
-    """The k to run ``algorithms`` with: the jfr default of 2 unless one
-    is given, and a k given where no algorithm reads it is an error."""
-    if k is not None and not any(a.startswith("jfr-") for a in algorithms):
-        raise SpecInvalid(f"k applies only to jfr-strict and jfr-pq, not "
+    """The k to run ``algorithms`` with: the jfr default unless one is
+    given, and a k given where no algorithm reads it is an error."""
+    if k is not None and not any(a in READS_K for a in algorithms):
+        raise SpecInvalid(f"k applies only to {' and '.join(READS_K)}, not "
                           f"to {' or '.join(algorithms)}")
-    return 2 if k is None else k
+    return DEFAULT_K if k is None else k
 
 
 def _timed_run(name, g, source, k, repetitions):
@@ -204,7 +200,7 @@ def _load_suite(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or too long an int
             raise SpecInvalid(f"suite spec {path}: {exc}") from None
 
 
@@ -440,7 +436,7 @@ def _build_parser():
     p.add_argument("--algo", required=True)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--k", type=int, help="jfr depth (default 2)")
+    p.add_argument("--k", type=int, help=f"jfr depth (default {DEFAULT_K})")
     p.add_argument("--check", action="store_true")
     p.add_argument("--out", help="write full labels to a JSON file")
     p.set_defaults(func=cmd_run)
@@ -451,7 +447,7 @@ def _build_parser():
     p.add_argument("--jfr", default="jfr-pq")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--k", type=int, help="jfr depth (default 2)")
+    p.add_argument("--k", type=int, help=f"jfr depth (default {DEFAULT_K})")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("suite", help="run a suite spec (default: desk suite)")
@@ -469,7 +465,7 @@ def _build_parser():
     p.add_argument("--algo", default="jfr-pq")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, help="jfr depth (default 2)")
+    p.add_argument("--k", type=int, help=f"jfr depth (default {DEFAULT_K})")
     p.add_argument("--weight-lo", type=float, default=0.0)
     p.add_argument("--weight-hi", type=float, default=10.0)
     p.add_argument("-o", "--out")

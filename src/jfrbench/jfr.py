@@ -32,6 +32,7 @@ from .paths import on_parent_cycle
 from .results import RunStats, SsspResult
 
 INF = math.inf
+DEFAULT_K = 2  # the depth jfr_pq and the CLI run with unless given one
 
 
 class LmhWorkspace:
@@ -57,30 +58,27 @@ class LmhWorkspace:
 
 
 def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
-                  ws: "LmhWorkspace | None" = None):
+                  ws: LmhWorkspace):
     """Bounded local propagation: at most ``k`` relaxation waves from
     ``seeds``, touching only vertices within ``k`` hops of them.
 
     On return no path of at most ``k`` edges out of a seed can still
-    improve its endpoint (given the seed labels at call time).  Every
-    evaluation is counted in both ``edge_inspections`` and
-    ``lmh_inspections``; a ``(depth, inspections, window_degree_sum)``
-    record is appended to ``stats.lmh_calls``, where the window is the
-    distinct vertices whose out-edges the call relaxed (each at most once
-    per wave; a seed listed twice is scanned once), so ``inspections <=
-    depth * window_degree_sum``.  Returns the strictly improved vertices
-    in first-improvement order.  ``ws`` carries scratch state between the
-    calls of one solve; without it a fresh one is made.
+    improve its endpoint (given the seed labels at call time).  The
+    evaluations are added to ``edge_inspections``, each improvement to
+    ``stats.improvements`` (one entry per vertex), and a ``(depth,
+    inspections, window_degree_sum)`` record is appended to
+    ``stats.lmh_calls``, where the window is the distinct vertices whose
+    out-edges the call relaxed (each at most once per wave; a seed listed
+    twice is scanned once), so ``inspections <= depth *
+    window_degree_sum``.  Returns the strictly improved vertices in
+    first-improvement order.  ``ws`` is the scratch state that the calls
+    of one solve share.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    if ws is None:
-        ws = LmhWorkspace(g.n)
     offsets, targets, weights = g.offsets, g.targets, g.weights
-    if len(stats.improvements) != g.n:
-        stats.improvements = [0] * g.n
     improvements = stats.improvements
     window, mark, scanned = ws.window, ws.mark, ws.scanned
     first = ws.clock + 1
@@ -94,7 +92,6 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
             wave.append(u)
     improved_all: list = []
     inspections = 0
-    successes = 0
     for stamp in range(first, first + k):
         if not wave:
             break
@@ -114,7 +111,6 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
                     dist[v] = cand
                     parent[v] = u
                     improvements[v] += 1
-                    successes += 1
                     mv = mark[v]
                     if mv != stamp:
                         if mv < first:
@@ -123,8 +119,6 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
                         next_wave.append(v)
         wave = next_wave
     stats.edge_inspections += inspections
-    stats.lmh_inspections += inspections
-    stats.successful_relaxations += successes
     stats.lmh_calls.append((k, inspections, window_degree_sum))
     return improved_all
 
@@ -152,7 +146,6 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     activations[source] = 1
     in_improved = [False] * n
     frontier_inspections = 0
-    successes = 0
     outer = 0
     next_walk = n
     witness = None
@@ -163,15 +156,15 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
         # (a) one relaxation hop out of the frontier
         for u in frontier:
             du = dist[u]
-            for e in range(offsets[u], offsets[u + 1]):
-                frontier_inspections += 1
+            lo, hi = offsets[u], offsets[u + 1]
+            frontier_inspections += hi - lo
+            for e in range(lo, hi):
                 cand = du + weights[e]
                 v = targets[e]
                 if cand < dist[v]:
                     dist[v] = cand
                     parent[v] = u
                     improvements[v] += 1
-                    successes += 1
                     if not in_improved[v]:
                         in_improved[v] = True
                         improved.append(v)
@@ -200,12 +193,11 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
         frontier = improved
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.edge_inspections += frontier_inspections
-    stats.successful_relaxations += successes
     stats.outer_iterations = outer
     return SsspResult(dist, parent, witness is not None, stats, witness)
 
 
-def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
+def jfr_pq(g: Graph, source: int, k: int = DEFAULT_K) -> SsspResult:
     """Event-driven jump-frontier relaxation with depth parameter ``k``."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -226,7 +218,6 @@ def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
     dist[source] = 0.0
     heap = [(0.0, source)]
     pushes = 1
-    pops = 0
     stale = 0
     next_walk = n
     witness = None
@@ -243,7 +234,6 @@ def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
             if witness is not None:
                 break
             next_walk = 2 * stats.edge_inspections
-        pops += 1
         activations[u] += 1
         for v in lmh_propagate(g, (u,), k, dist, parent, stats, ws):
             # scan-once: skip v if a later wave of this call already
@@ -255,5 +245,5 @@ def jfr_pq(g: Graph, source: int, k: int = 2) -> SsspResult:
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.queue_pushes = pushes
     stats.stale_pops = stale
-    stats.outer_iterations = pops
+    stats.outer_iterations = sum(activations)
     return SsspResult(dist, parent, witness is not None, stats, witness)

@@ -1,18 +1,25 @@
 """Result and instrumentation records shared by every solver.
 
-Counting rules (identical across algorithms so ratios are meaningful):
+Counting rules (identical across algorithms so ratios are meaningful).
+Each count is stored once; the two marked *derived* are read-only
+properties computed from stored ones.
 
 * ``edge_inspections`` — one count per evaluation of ``d[u] + w`` against
-  ``d[v]``.  Tails with infinite distance are skipped outright and
-  contribute no inspections.  Inspections made inside multi-hop propagation
-  are included here *and* mirrored in ``lmh_inspections``.
-* ``successful_relaxations`` — inspections that strictly lowered a
-  distance; always equals ``sum(improvements)``.
+  ``d[v]``.  Every solver adds a scanned vertex's out-degree at once, as
+  it starts the scan; tails with infinite distance are skipped outright
+  and contribute no inspections.  Inspections made inside multi-hop
+  propagation are included.
+* ``lmh_inspections`` (derived) — the inspections made inside multi-hop
+  propagation: the sum over ``lmh_calls``.
+* ``successful_relaxations`` (derived) — inspections that strictly
+  lowered a distance: ``sum(improvements)``.
 * ``activations[v]`` — how many times ``v`` entered the active set
   (frontier entry, queue entry, or per-pass scan, depending on the mode;
   for ``jfr_pq``, each non-stale pop, which runs one propagation from
-  ``v``).  Stale priority-queue pops are skipped and never counted as
-  activations.
+  ``v``, so its ``outer_iterations`` is ``sum(activations)``).  Stale
+  priority-queue pops are skipped and never counted as activations.
+* ``queue_pushes`` — entries into the queue or heap.  SPFA and Dijkstra
+  count an activation at each push, so there it is ``sum(activations)``.
 * ``stale_pops`` — priority-queue pops whose key is no longer the vertex's
   label.  ``jfr_pq`` does not queue a vertex whose out-edges its
   propagation already relaxed at the vertex's final label (scan-once), so
@@ -27,8 +34,6 @@ from dataclasses import dataclass, field
 class RunStats:
     mode: str
     edge_inspections: int = 0
-    successful_relaxations: int = 0
-    lmh_inspections: int = 0
     queue_pushes: int = 0
     stale_pops: int = 0
     outer_iterations: int = 0
@@ -40,6 +45,14 @@ class RunStats:
     # call; the window is the distinct vertices the call scanned, so
     # inspections <= depth * window_degree_sum
     lmh_calls: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def successful_relaxations(self) -> int:
+        return sum(self.improvements)
+
+    @property
+    def lmh_inspections(self) -> int:
+        return sum(inspections for _, inspections, _ in self.lmh_calls)
 
 
 @dataclass

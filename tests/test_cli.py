@@ -335,7 +335,10 @@ GOOD_RESULT = {"source": 0, "neg_cycle": False, "dist": [0.0, 1.0, 2.0],
 
 def _file_arg(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -371,6 +374,11 @@ MALFORMED = {
         {"family": "slf-killer", "n": "60"}]),
     "suite-spec-list": lambda tmp_path, graph: [
         "suite", _file_arg(tmp_path, "s.json", "[1, 2]")],
+    "suite-spec-not-utf8": lambda tmp_path, graph: [
+        "suite", _file_arg(tmp_path, "s.json", b"\xff\xfe{")],
+    "suite-int-past-digit-limit": lambda tmp_path, graph: [
+        "suite", _file_arg(tmp_path, "s.json",
+                           '{"seed": 1%s}' % ("0" * 4400))],
     "suite-unknown-key": _suite_with(threads=2),
     "suite-entry-misspelled-key": _suite_with(entries=[
         {"family": "neg-dense", "n": 40, "m": 200, "neg_fracton": 0.9}]),
@@ -559,7 +567,7 @@ def suite_entries(draw):
 SPEC_VALUES = {
     "seed": st.integers(0, 10 ** 6), "repetitions": st.just(1),
     "k": st.integers(-1, 4),
-    "algorithms": st.lists(st.sampled_from(ALGORITHMS * 4 + ("bogus",)),
+    "algorithms": st.lists(st.sampled_from(tuple(ALGORITHMS) * 4 + ("bogus",)),
                            min_size=1, max_size=3),
     "entries": st.lists(suite_entries(), min_size=1, max_size=2),
     "threads": st.integers(1, 2),  # a key suite specs no longer take

