@@ -16,29 +16,20 @@ import math
 import time
 from collections import deque
 
-from .errors import IndexOutOfRange, NegativeWeightPresent
+from .errors import NegativeWeightPresent
 from .graph import Graph
 from .paths import on_parent_cycle
-from .results import RunStats, SsspResult
+from .results import SsspResult, start_run
 
 INF = math.inf
 
 
-def check_source(g: Graph, source: int) -> None:
-    if not 0 <= source < g.n:
-        raise IndexOutOfRange(f"source {source} not in [0, {g.n})")
-
-
 def bellman_ford(g: Graph, source: int) -> SsspResult:
     """Reference solver: full edge passes in CSR order with early exit."""
-    check_source(g, source)
+    dist, parent, stats = start_run(g, source, "bf")
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
-    dist = [INF] * n
-    parent: list = [None] * n
-    activations = [0] * n
-    improvements = [0] * n
-    dist[source] = 0.0
+    activations, improvements = stats.activations, stats.improvements
     inspections = 0
     neg_cycle = False
     witness = None
@@ -68,28 +59,19 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
         passes += 1
         if not improved_any or neg_cycle:
             break
-    wall = time.perf_counter_ns() - t0
-    stats = RunStats(
-        mode="bf",
-        edge_inspections=inspections,
-        outer_iterations=passes,
-        activations=activations,
-        improvements=improvements,
-        wall_time_ns=wall,
-    )
+    stats.wall_time_ns = time.perf_counter_ns() - t0
+    stats.edge_inspections = inspections
+    stats.outer_iterations = passes
     return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
 
 
 def _spfa(g: Graph, source: int, slf: bool) -> SsspResult:
-    check_source(g, source)
+    dist, parent, stats = start_run(g, source,
+                                    "spfa-slf" if slf else "spfa-fifo")
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
-    dist = [INF] * n
-    parent: list = [None] * n
-    activations = [0] * n
-    improvements = [0] * n
+    activations, improvements = stats.activations, stats.improvements
     in_queue = [False] * n
-    dist[source] = 0.0
     dq = deque([source])
     in_queue[source] = True
     activations[source] = 1
@@ -126,16 +108,10 @@ def _spfa(g: Graph, source: int, slf: bool) -> SsspResult:
                         dq.appendleft(v)
                     else:
                         dq.append(v)
-    wall = time.perf_counter_ns() - t0
-    stats = RunStats(
-        mode="spfa-slf" if slf else "spfa-fifo",
-        edge_inspections=inspections,
-        queue_pushes=sum(activations),
-        outer_iterations=pops,
-        activations=activations,
-        improvements=improvements,
-        wall_time_ns=wall,
-    )
+    stats.wall_time_ns = time.perf_counter_ns() - t0
+    stats.edge_inspections = inspections
+    stats.queue_pushes = sum(activations)
+    stats.outer_iterations = pops
     return SsspResult(dist, parent, witness is not None, stats, witness)
 
 
@@ -152,17 +128,12 @@ def spfa_slf(g: Graph, source: int) -> SsspResult:
 def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
     """Lazy-deletion Dijkstra.  Only valid on non-negative weights; used as
     an independent oracle there."""
-    check_source(g, source)
+    dist, parent, stats = start_run(g, source, "dijkstra")
     for w in g.weights:
         if w < 0:
             raise NegativeWeightPresent(f"negative weight {w}")
-    n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
-    dist = [INF] * n
-    parent: list = [None] * n
-    activations = [0] * n
-    improvements = [0] * n
-    dist[source] = 0.0
+    activations, improvements = stats.activations, stats.improvements
     heap = [(0.0, source)]
     activations[source] = 1
     inspections = 0
@@ -186,15 +157,9 @@ def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
                 improvements[v] += 1
                 activations[v] += 1
                 heapq.heappush(heap, (cand, v))
-    wall = time.perf_counter_ns() - t0
-    stats = RunStats(
-        mode="dijkstra",
-        edge_inspections=inspections,
-        queue_pushes=sum(activations),
-        stale_pops=stale,
-        outer_iterations=pops,
-        activations=activations,
-        improvements=improvements,
-        wall_time_ns=wall,
-    )
+    stats.wall_time_ns = time.perf_counter_ns() - t0
+    stats.edge_inspections = inspections
+    stats.queue_pushes = sum(activations)
+    stats.stale_pops = stale
+    stats.outer_iterations = pops
     return SsspResult(dist, parent, False, stats)

@@ -74,8 +74,6 @@ def run_algorithm(name: str, g: Graph, source: int,
                                f"choose from {', '.join(ALGORITHMS)}")
     if name not in READS_K:
         return ALGORITHMS[name](g, source)
-    if k < 1:
-        raise SpecInvalid(f"k must be >= 1, got {k}")
     return ALGORITHMS[name](g, source, k)
 
 
@@ -200,7 +198,8 @@ def _load_suite(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or too long an int
+        # not JSON, not UTF-8, too long an int, or nested too deep
+        except (ValueError, RecursionError) as exc:
             raise SpecInvalid(f"suite spec {path}: {exc}") from None
 
 
@@ -307,8 +306,6 @@ def cmd_suite(args) -> int:
 
 
 def _parse_fractions(text):
-    if not text:
-        raise SpecInvalid("at least one fraction is required")
     try:
         fractions = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
@@ -373,7 +370,7 @@ def _load_result(path, g):
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecInvalid(f"result file {path}: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("dist"),
                                                        list):
@@ -484,10 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (JfrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

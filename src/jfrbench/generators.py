@@ -16,10 +16,10 @@ Families
     like a near-uniform positive-weight graph; ``neg_fraction`` is hit by
     orienting a computed share of edges down-potential (never negative) or
     up-potential (negative whenever the potential gap exceeds ``w0``).
-    ``weight_hi`` sets the overall scale; ``weight_lo`` matters only for
-    ``neg_fraction = 0``, which degenerates to plain uniform weights.  The
-    potentials ride along on the returned graph so later edge increments
-    can reuse the same scheme.
+    ``weight_hi`` (at least 1) sets the overall scale; ``weight_lo`` is
+    read only for ``neg_fraction = 0``, which degenerates to plain uniform
+    weights, and is an error otherwise.  The potentials ride along on the
+    returned graph so later edge increments can reuse the same scheme.
 
 ``windmill``
     The classic windmill: ``blades`` bidirected complete graphs on
@@ -88,14 +88,19 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
                   weight_hi: float = 10.0,
                   neg_fraction: float = 0.3) -> Graph:
     _check_ranges(n, m, weight_lo, weight_hi, neg_fraction)
+    if weight_hi < 1.0:
+        raise SpecInvalid(f"neg-dense needs weight_hi >= 1, got {weight_hi}")
+    if neg_fraction > 0.0 and weight_lo != 0.0:
+        raise SpecInvalid("neg-dense reads weight_lo only when "
+                          "neg_fraction = 0")
     if neg_fraction == 0.0:  # plain positive weights, zero potentials
         g = gen_sparse_random(n, m, seed, max(weight_lo, _W0_FLOOR),
-                              max(weight_hi, 1.0))
+                              weight_hi)
         g.potentials = [0.0] * n
         return g
     rng = random.Random(seed)
     f = neg_fraction
-    spread = max(1.0, weight_hi)
+    spread = weight_hi
     potentials = [_r6(rng.uniform(0.0, spread)) for _ in range(n)]
     # Base weights live in one narrow band.  High fractions need the band
     # pushed toward zero (an up-potential edge goes negative only when the

@@ -16,28 +16,31 @@ together subsume the paper's frontier filter: a vertex whose label has
 settled is never scanned again, so no periodic sweep for idle vertices is
 needed.
 
-Both modes propagate through :func:`lmh_propagate` over one reusable
-per-solve :class:`LmhWorkspace`, use strict ``<`` relaxation (first writer
-wins on ties) and the shared instrumentation conventions of
-:mod:`jfrbench.results`.
+Both modes start from :func:`jfrbench.results.start_run` and propagate
+through :func:`lmh_propagate` over one :class:`LmhWorkspace` per solve,
+which holds the solve's labels, parents and ``RunStats``.  Both use strict
+``<`` relaxation (first writer wins on ties) and the instrumentation
+conventions of :mod:`jfrbench.results`.
 """
 
 import heapq
 import math
 import time
 
-from .baselines import check_source
+from .errors import SpecInvalid
 from .graph import Graph
 from .paths import on_parent_cycle
-from .results import RunStats, SsspResult
+from .results import RunStats, SsspResult, start_run
 
 INF = math.inf
 DEFAULT_K = 2  # the depth jfr_pq and the CLI run with unless given one
 
 
 class LmhWorkspace:
-    """Scratch state of :func:`lmh_propagate`, reused by every call of one
-    solve so that a call allocates no per-vertex set.
+    """One solve's labels ``dist``, parents ``parent`` and ``stats`` on
+    ``g``, as :func:`jfrbench.results.start_run` returns them, next to the
+    scratch state that every :func:`lmh_propagate` call of the solve
+    reuses, so that a call allocates no per-vertex set.
 
     ``window`` and ``mark`` hold stamps from ``clock``, which only grows,
     so nothing is ever cleared.  A call takes the stamps ``first`` ..
@@ -48,36 +51,38 @@ class LmhWorkspace:
     v's out-edges were last relaxed (NaN, equal to nothing, for never).
     """
 
-    __slots__ = ("clock", "window", "mark", "scanned")
+    __slots__ = ("g", "dist", "parent", "stats", "clock", "window", "mark",
+                 "scanned")
 
-    def __init__(self, n: int):
+    def __init__(self, g: Graph, dist, parent, stats: RunStats):
+        self.g, self.dist, self.parent, self.stats = g, dist, parent, stats
         self.clock = 0
-        self.window = [0] * n
-        self.mark = [0] * n
-        self.scanned = [math.nan] * n
+        self.window = [0] * g.n
+        self.mark = [0] * g.n
+        self.scanned = [math.nan] * g.n
 
 
-def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
-                  ws: LmhWorkspace):
-    """Bounded local propagation: at most ``k`` relaxation waves from
-    ``seeds``, touching only vertices within ``k`` hops of them.
+def lmh_propagate(ws: LmhWorkspace, seeds, k: int):
+    """Bounded local propagation over the solve ``ws``: at most ``k``
+    relaxation waves from ``seeds``, touching only vertices within ``k``
+    hops of them.
 
     On return no path of at most ``k`` edges out of a seed can still
     improve its endpoint (given the seed labels at call time).  The
-    evaluations are added to ``edge_inspections``, each improvement to
-    ``stats.improvements`` (one entry per vertex), and a ``(depth,
-    inspections, window_degree_sum)`` record is appended to
-    ``stats.lmh_calls``, where the window is the distinct vertices whose
-    out-edges the call relaxed (each at most once per wave; a seed listed
-    twice is scanned once), so ``inspections <= depth *
-    window_degree_sum``.  Returns the strictly improved vertices in
-    first-improvement order.  ``ws`` is the scratch state that the calls
-    of one solve share.
+    evaluations are added to ``ws.stats.edge_inspections``, each
+    improvement to ``ws.stats.improvements``, and a ``(depth, inspections,
+    window_degree_sum)`` record is appended to ``ws.stats.lmh_calls``,
+    where the window is the distinct vertices whose out-edges the call
+    relaxed (each at most once per wave; a seed listed twice is scanned
+    once), so ``inspections <= depth * window_degree_sum``.  Returns the
+    strictly improved vertices in first-improvement order.  A ``k < 1``
+    raises ``SpecInvalid``.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise SpecInvalid(f"k must be >= 1, got {k}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    g, dist, parent, stats = ws.g, ws.dist, ws.parent, ws.stats
     offsets, targets, weights = g.offsets, g.targets, g.weights
     improvements = stats.improvements
     window, mark, scanned = ws.window, ws.mark, ws.scanned
@@ -125,23 +130,11 @@ def lmh_propagate(g: Graph, seeds, k: int, dist, parent, stats: RunStats,
 
 def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     """Round-based jump-frontier relaxation with depth parameter ``k``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_source(g, source)
+    dist, parent, stats = start_run(g, source, "jfr-strict", k)
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
-    dist = [INF] * n
-    parent: list = [None] * n
-    activations = [0] * n
-    improvements = [0] * n
-    stats = RunStats(
-        mode="jfr-strict",
-        k=k,
-        activations=activations,
-        improvements=improvements,
-    )
-    ws = LmhWorkspace(n)
-    dist[source] = 0.0
+    activations, improvements = stats.activations, stats.improvements
+    ws = LmhWorkspace(g, dist, parent, stats)
     frontier = [source]
     activations[source] = 1
     in_improved = [False] * n
@@ -170,8 +163,7 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                         improved.append(v)
         # (b) let the new labels ripple up to k-1 further hops
         if k > 1 and improved:
-            for v in lmh_propagate(g, improved, k - 1, dist, parent, stats,
-                                   ws):
+            for v in lmh_propagate(ws, improved, k - 1):
                 if not in_improved[v]:
                     in_improved[v] = True
                     improved.append(v)
@@ -199,27 +191,14 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
 
 def jfr_pq(g: Graph, source: int, k: int = DEFAULT_K) -> SsspResult:
     """Event-driven jump-frontier relaxation with depth parameter ``k``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    check_source(g, source)
-    n = g.n
-    dist = [INF] * n
-    parent: list = [None] * n
-    activations = [0] * n
-    improvements = [0] * n
-    stats = RunStats(
-        mode="jfr-pq",
-        k=k,
-        activations=activations,
-        improvements=improvements,
-    )
-    ws = LmhWorkspace(n)
+    dist, parent, stats = start_run(g, source, "jfr-pq", k)
+    activations = stats.activations
+    ws = LmhWorkspace(g, dist, parent, stats)
     scanned = ws.scanned
-    dist[source] = 0.0
     heap = [(0.0, source)]
     pushes = 1
     stale = 0
-    next_walk = n
+    next_walk = g.n
     witness = None
     heappush, heappop = heapq.heappush, heapq.heappop
     t0 = time.perf_counter_ns()
@@ -235,7 +214,7 @@ def jfr_pq(g: Graph, source: int, k: int = DEFAULT_K) -> SsspResult:
                 break
             next_walk = 2 * stats.edge_inspections
         activations[u] += 1
-        for v in lmh_propagate(g, (u,), k, dist, parent, stats, ws):
+        for v in lmh_propagate(ws, (u,), k):
             # scan-once: skip v if a later wave of this call already
             # relaxed its out-edges at its current label
             dv = dist[v]

@@ -25,9 +25,17 @@ properties computed from stored ones.
   propagation already relaxed at the vertex's final label (scan-once), so
   such a vertex costs neither a push nor a pop.
 * ``improvements[v]`` — how many times ``d[v]`` strictly decreased.
+
+Every solver starts from :func:`start_run`: the source at label 0 and
+every other vertex at ``inf`` with no parent, and a ``RunStats`` whose
+``activations`` and ``improvements`` hold one zero per vertex.  It also
+rejects a source outside ``[0, n)`` and a depth ``k < 1``.
 """
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import IndexOutOfRange, SpecInvalid
 
 
 @dataclass
@@ -64,3 +72,22 @@ class SsspResult:
     # a vertex on a parent cycle, or one improved in an n-th round
     # (bellman_ford, jfr_strict) whose parent chain leads into one
     cycle_witness: "int | None" = None
+
+
+def check_source(g, source: int) -> None:
+    if not 0 <= source < g.n:
+        raise IndexOutOfRange(f"source {source} not in [0, {g.n})")
+
+
+def start_run(g, source: int, mode: str, k: "int | None" = None):
+    """The start state of a ``mode`` solve of ``g`` from ``source`` at
+    depth ``k`` (None: the mode reads no depth): ``(dist, parent,
+    stats)``."""
+    if k is not None and k < 1:
+        raise SpecInvalid(f"k must be >= 1, got {k}")
+    check_source(g, source)
+    n = g.n
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    return dist, [None] * n, RunStats(mode, k=k, activations=[0] * n,
+                                      improvements=[0] * n)

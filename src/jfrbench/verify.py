@@ -15,11 +15,11 @@ authority for results imported from outside the package.
 import sys
 from dataclasses import dataclass
 
-from .baselines import bellman_ford, check_source
+from .baselines import bellman_ford
 from .errors import MissingEdge, NegCycleResult
 from .graph import Graph
 from .paths import cycle_weight, parent_cycles
-from .results import SsspResult
+from .results import SsspResult, check_source
 
 _INF = float("inf")
 

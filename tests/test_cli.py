@@ -3,11 +3,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jfrbench
 from conftest import rule_before_certify
 from jfrbench.baselines import bellman_ford
 from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
@@ -379,6 +384,8 @@ MALFORMED = {
     "suite-int-past-digit-limit": lambda tmp_path, graph: [
         "suite", _file_arg(tmp_path, "s.json",
                            '{"seed": 1%s}' % ("0" * 4400))],
+    "suite-spec-nested-too-deep": lambda tmp_path, graph: [
+        "suite", _file_arg(tmp_path, "s.json", "[" * 100000)],
     "suite-unknown-key": _suite_with(threads=2),
     "suite-entry-misspelled-key": _suite_with(entries=[
         {"family": "neg-dense", "n": 40, "m": 200, "neg_fracton": 0.9}]),
@@ -394,11 +401,32 @@ MALFORMED = {
     "gen-windmill-with-n-and-m": lambda tmp_path, graph: [
         "gen", "--family", "windmill", "--blades", "2", "--blade-size", "3",
         "--n", "500", "--m", "7"],
+    "gen-neg-dense-weight-lo-with-negative-share": lambda tmp_path, graph: [
+        "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
+        "--weight-lo", "5"],
+    "gen-neg-dense-weight-hi-below-1": lambda tmp_path, graph: [
+        "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
+        "--weight-hi", "0.5"],
     "sweep-edges-flag-the-family-does-not-read": lambda tmp_path, graph: [
         "sweep-edges", "--family", "sparse-random", "--n", "10", "--m",
         "20", "--neg-fraction", "0.5", "--fractions", "0.5"],
     "sweep-edges-graph-file-with-generator-flag": lambda tmp_path, graph: [
         "sweep-edges", graph, "--n", "10", "--fractions", "0.5"],
+    "sweep-edges-bad-fraction-list": lambda tmp_path, graph: [
+        "sweep-edges", graph, "--fractions", "abc"],
+    "sweep-edges-no-graph-no-family": lambda tmp_path, graph: [
+        "sweep-edges", "--fractions", "0.5"],
+    "sweep-edges-weight-lo-above-weight-hi": lambda tmp_path, graph: [
+        "sweep-edges", graph, "--fractions", "0.5", "--weight-lo", "5",
+        "--weight-hi", "1"],
+    "sweep-edges-negative-additions-to-plain-graph": lambda tmp_path, graph: [
+        "sweep-edges", graph, "--fractions", "0.5", "--weight-lo", "-1"],
+    "run-graph-negative-header": lambda tmp_path, graph: [
+        "run", _file_arg(tmp_path, "h.txt", "-1 0\n"), "--algo", "bf"],
+    "run-graph-only-a-comment": lambda tmp_path, graph: [
+        "run", _file_arg(tmp_path, "c.txt", "# no header\n"), "--algo", "bf"],
+    "run-graph-missing": lambda tmp_path, graph: [
+        "run", str(tmp_path / "missing.txt"), "--algo", "bf"],
     "verify-not-json": _verify_with("{not json"),
     "verify-payload-list": _verify_with([0.0, 1.0, 2.0]),
     "verify-no-dist": _verify_with({"parent": [None, 0, 1]}),
@@ -421,6 +449,7 @@ MALFORMED = {
         '{"dist": [0.0, 1%s, 2.0]}' % ("0" * 400)),
     "verify-neg-cycle-string": _verify_with(
         {**GOOD_RESULT, "neg_cycle": "false"}),
+    "verify-nested-too-deep": _verify_with("[" * 100000),
 }
 
 
@@ -434,6 +463,27 @@ def test_malformed_input_fails_closed(capsys, tmp_path, make_argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+def run_module(*argv):
+    """``python -m jfrbench`` with ``argv``, importing this package."""
+    src = str(Path(jfrbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "jfrbench", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "g.txt"
+    done = run_module("gen", "--family", "slf-killer", "--n", "20", "-o",
+                      str(path))
+    assert done.returncode == 0 and done.stderr == ""
+    assert "n=20" in done.stdout and path.read_text().startswith("20 ")
+    done = run_module("run", str(tmp_path / "missing.txt"), "--algo", "bf")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and \
+        done.stderr.count("\n") == 1
 
 
 # Fuzz graphs: a feasible one with a zero-weight cycle and a vertex the

@@ -24,8 +24,8 @@ PINNED = {
         lambda: generate("neg-dense", 3, n=50, m=300),
         "3f1f295968a085ae5c81d56f599275a6"),
     "neg-dense-explicit": (
-        lambda: generate("neg-dense", 3, n=50, m=300, weight_lo=0.5,
-                         weight_hi=20.0, neg_fraction=0.6),
+        lambda: generate("neg-dense", 3, n=50, m=300, weight_hi=20.0,
+                         neg_fraction=0.6),
         "1b33ef765fa1cdc4609b0707e4981bf3"),
     "neg-dense-no-negative-share": (
         lambda: generate("neg-dense", 3, n=30, m=100, weight_lo=1.0,

@@ -6,79 +6,73 @@ from hypothesis import strategies as st
 
 from conftest import chain, potential_graph
 from jfrbench.baselines import bellman_ford, spfa_slf
-from jfrbench.errors import IndexOutOfRange
+from jfrbench.errors import IndexOutOfRange, SpecInvalid
 from jfrbench.generators import gen_slf_killer, generate
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from jfrbench.paths import cycle_weight, detect_negative_cycle
-from jfrbench.results import RunStats
+from jfrbench.results import start_run
 
 INF = math.inf
 
 
-def fresh_state(n):
-    """Labels, parents, stats and workspace of a solve from source 0."""
-    dist = [INF] * n
-    dist[0] = 0.0
-    return (dist, [None] * n, RunStats(mode="lmh", improvements=[0] * n),
-            LmhWorkspace(n))
+def fresh_state(g):
+    """The workspace of a solve of ``g`` from source 0."""
+    return LmhWorkspace(g, *start_run(g, 0, "lmh"))
 
 
 def test_lmh_chain_full_depth():
-    g = chain(4)
-    dist, parent, stats, ws = fresh_state(4)
-    improved = lmh_propagate(g, [0], 3, dist, parent, stats, ws)
-    assert dist == [0.0, 1.0, 2.0, 3.0]
+    ws = fresh_state(chain(4))
+    improved = lmh_propagate(ws, [0], 3)
+    stats = ws.stats
+    assert ws.dist == [0.0, 1.0, 2.0, 3.0]
     assert improved == [1, 2, 3]
-    assert parent == [None, 0, 1, 2]
+    assert ws.parent == [None, 0, 1, 2]
     assert stats.lmh_calls == [(3, 3, 3)]
     assert stats.edge_inspections == stats.lmh_inspections == 3
     assert stats.successful_relaxations == 3
 
 
 def test_lmh_chain_depth_one_stops_after_one_hop():
-    g = chain(4)
-    dist, parent, stats, ws = fresh_state(4)
-    improved = lmh_propagate(g, [0], 1, dist, parent, stats, ws)
-    assert dist == [0.0, 1.0, INF, INF]
+    ws = fresh_state(chain(4))
+    improved = lmh_propagate(ws, [0], 1)
+    assert ws.dist == [0.0, 1.0, INF, INF]
     assert improved == [1]
-    assert stats.lmh_calls == [(1, 1, 1)]  # the window is {0}: only 0 scanned
+    assert ws.stats.lmh_calls == [(1, 1, 1)]  # the window is {0}: only 0 scanned
 
 
 def test_lmh_rejoining_paths_keep_first_improvement_order():
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 10.0), (0, 2, 1.0),
                                        (2, 1, 1.0)]))
-    dist, parent, stats, ws = fresh_state(3)
-    improved = lmh_propagate(g, [0], 2, dist, parent, stats, ws)
-    assert dist == [0.0, 2.0, 1.0]
+    ws = fresh_state(g)
+    improved = lmh_propagate(ws, [0], 2)
+    assert ws.dist == [0.0, 2.0, 1.0]
     assert improved == [1, 2]  # vertex 1 listed once despite two improvements
-    assert stats.improvements == [0, 2, 1]
+    assert ws.stats.improvements == [0, 2, 1]
 
 
 def test_lmh_argument_validation():
-    g = chain(3)
-    dist, parent, stats, ws = fresh_state(3)
+    ws = fresh_state(chain(3))
+    with pytest.raises(SpecInvalid):
+        lmh_propagate(ws, [0], 0)
     with pytest.raises(ValueError):
-        lmh_propagate(g, [0], 0, dist, parent, stats, ws)
-    with pytest.raises(ValueError):
-        lmh_propagate(g, [], 2, dist, parent, stats, ws)
+        lmh_propagate(ws, [], 2)
 
 
 def test_lmh_infinite_seeds_are_skipped():
-    g = chain(4)
-    dist, parent, stats, ws = fresh_state(4)
-    improved = lmh_propagate(g, [3], 2, dist, parent, stats, ws)
+    ws = fresh_state(chain(4))
+    improved = lmh_propagate(ws, [3], 2)
     assert improved == []
-    assert dist == [0.0, INF, INF, INF]
+    assert ws.dist == [0.0, INF, INF, INF]
 
 
 def test_lmh_inspection_bound_per_call():
     for seed in range(40):
         g = potential_graph(30, 150, seed)
-        dist, parent, stats, ws = fresh_state(30)
+        ws = fresh_state(g)
         for k in (1, 2, 3):
-            lmh_propagate(g, [0], k, dist, parent, stats, ws)
-        for depth, inspections, window_deg in stats.lmh_calls:
+            lmh_propagate(ws, [0], k)
+        for depth, inspections, window_deg in ws.stats.lmh_calls:
             assert inspections <= depth * window_deg
 
 
@@ -88,9 +82,9 @@ def test_lmh_window_is_the_scanned_vertices():
     for seed in range(20):
         g = potential_graph(30, 150, seed)
         for k in (1, 2, 3):
-            dist, parent, stats, ws = fresh_state(30)
-            lmh_propagate(g, [0], k, dist, parent, stats, ws)
-            (depth, inspections, window_deg), = stats.lmh_calls
+            ws = fresh_state(g)
+            lmh_propagate(ws, [0], k)
+            (depth, inspections, window_deg), = ws.stats.lmh_calls
             assert window_deg == sum(g.out_degree(v) for v in range(30)
                                      if not math.isnan(ws.scanned[v]))
             assert depth == k and inspections <= k * window_deg
@@ -99,16 +93,15 @@ def test_lmh_window_is_the_scanned_vertices():
 def test_lmh_scans_a_repeated_seed_once():
     g = potential_graph(30, 150, 0)
     deg = g.out_degree(5)
-    dist, parent, stats, ws = fresh_state(30)
-    dist[5] = 0.0
-    lmh_propagate(g, [5, 5], 1, dist, parent, stats, ws)
-    assert deg > 0 and stats.lmh_calls == [(1, deg, deg)]
+    ws = fresh_state(g)
+    ws.dist[5] = 0.0
+    lmh_propagate(ws, [5, 5], 1)
+    assert deg > 0 and ws.stats.lmh_calls == [(1, deg, deg)]
 
 
 def test_lmh_records_scanned_labels():
-    g = chain(4)
-    dist, parent, stats, ws = fresh_state(4)
-    lmh_propagate(g, [0], 2, dist, parent, stats, ws)
+    ws = fresh_state(chain(4))
+    lmh_propagate(ws, [0], 2)
     assert ws.scanned[:2] == [0.0, 1.0]
     assert all(math.isnan(x) for x in ws.scanned[2:])
 
@@ -119,12 +112,14 @@ def test_lmh_shared_workspace_matches_fresh_calls():
              (2, [0]))
     for seed in range(20):
         g = potential_graph(30, 150, seed)
-        shared, fresh = fresh_state(30), fresh_state(30)
+        shared, fresh = fresh_state(g), fresh_state(g)
         for k, seeds in calls:
-            assert (lmh_propagate(g, seeds, k, *shared)
-                    == lmh_propagate(g, seeds, k, *fresh[:3],
-                                     LmhWorkspace(30))), (seed, k)
-        assert shared[:3] == fresh[:3], seed
+            assert (lmh_propagate(shared, seeds, k)
+                    == lmh_propagate(LmhWorkspace(g, fresh.dist, fresh.parent,
+                                                  fresh.stats), seeds, k)), \
+                (seed, k)
+        assert (shared.dist, shared.parent, shared.stats) == \
+            (fresh.dist, fresh.parent, fresh.stats), seed
 
 
 def test_jfr_strict_chain_k1():
@@ -211,7 +206,7 @@ def test_jfr_strict_negative_cycle():
 
 
 def test_jfr_strict_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         jfr_strict(chain(3), 0, 0)
     with pytest.raises(IndexOutOfRange):
         jfr_strict(chain(3), 3, 1)
@@ -308,7 +303,7 @@ def test_jfr_pq_slf_killer_inspections_pinned():
 
 
 def test_jfr_pq_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         jfr_pq(chain(3), 0, k=0)
     with pytest.raises(IndexOutOfRange):
         jfr_pq(chain(3), 3)
