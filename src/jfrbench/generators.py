@@ -18,8 +18,11 @@ Families
     up-potential (negative whenever the potential gap exceeds ``w0``).
     ``weight_hi`` (at least 1) sets the overall scale; ``weight_lo`` is
     read only for ``neg_fraction = 0``, which degenerates to plain uniform
-    weights, and is an error otherwise.  The potentials ride along on the
-    returned graph so later edge increments can reuse the same scheme.
+    weights, and is an error otherwise.  There the weights start at
+    ``weight_lo``, or at the floor ``5e-4`` for the default ``weight_lo =
+    0``; a ``weight_lo`` strictly between 0 and the floor is an error.  The
+    potentials ride along on the returned graph so later edge increments
+    can reuse the same scheme.
 
 ``windmill``
     The classic windmill: ``blades`` bidirected complete graphs on
@@ -61,6 +64,16 @@ def _r6(x: float) -> float:
     return round(x, 6)
 
 
+def _above_floor(weight_lo, weight_hi):
+    """The band ``(lo, hi)`` of positive base weights that ``weight_lo``
+    and ``weight_hi`` ask for: ``weight_lo = 0`` means from ``_W0_FLOOR``,
+    and a bound that the floor would raise otherwise is an error."""
+    if weight_lo != 0.0 and weight_lo < _W0_FLOOR or weight_hi < _W0_FLOOR:
+        raise SpecInvalid(f"base weights need weight_lo = 0 or >= "
+                          f"{_W0_FLOOR}, and weight_hi >= {_W0_FLOOR}")
+    return max(weight_lo, _W0_FLOOR), weight_hi
+
+
 def _check_ranges(n, m, weight_lo, weight_hi, neg_fraction=0.0):
     if n < 1:
         raise SpecInvalid("n must be >= 1")
@@ -94,8 +107,8 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
         raise SpecInvalid("neg-dense reads weight_lo only when "
                           "neg_fraction = 0")
     if neg_fraction == 0.0:  # plain positive weights, zero potentials
-        g = gen_sparse_random(n, m, seed, max(weight_lo, _W0_FLOOR),
-                              weight_hi)
+        g = gen_sparse_random(n, m, seed,
+                              *_above_floor(weight_lo, weight_hi))
         g.potentials = [0.0] * n
         return g
     rng = random.Random(seed)
@@ -207,9 +220,11 @@ def add_edges(g: Graph, fraction: float, weight_lo: float, weight_hi: float,
     the original edges are preserved verbatim.
 
     Graphs carrying potentials get potential-shifted additions (mixed-sign
-    but still negative-cycle-free); plain non-negative graphs get plain
-    non-negative additions.  A plain graph that already has negative edges
-    cannot be extended safely and raises PotentialUnavailable.
+    but still negative-cycle-free) whose base weights start at
+    ``weight_lo``, or at the floor for ``weight_lo = 0``; plain
+    non-negative graphs get plain non-negative additions.  A plain graph
+    that already has negative edges cannot be extended safely and raises
+    PotentialUnavailable.
     """
     if not 0.0 < fraction <= 1.0:
         raise SpecInvalid("fraction must be in (0, 1]")
@@ -223,8 +238,7 @@ def add_edges(g: Graph, fraction: float, weight_lo: float, weight_hi: float,
     edges = list(g.edges())
     if g.potentials is not None:
         p = g.potentials
-        lo = max(weight_lo, _W0_FLOOR)
-        hi = max(weight_hi, lo)
+        lo, hi = _above_floor(weight_lo, weight_hi)
         for _ in range(extra):
             u = rng.randrange(n)
             v = rng.randrange(n)

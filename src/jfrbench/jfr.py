@@ -1,20 +1,19 @@
 """Jump-frontier relaxation in its two execution modes.
 
-``jfr_strict`` is round-based: each outer iteration relaxes every frontier
-vertex's out-edges (one hop), then lets the improvements ripple a further
-``k - 1`` hops through bounded local multi-hop propagation, and finally
-promotes everything strictly improved this iteration to the next frontier.
-With ``k = 1`` it degenerates to frontier-restricted Bellman-Ford.
+``jfr_strict`` is round-based: each round relaxes every frontier vertex's
+out-edges (one hop), lets the improvements ripple ``k - 1`` further hops
+through bounded local propagation, and promotes the improved vertices to
+the next frontier; at ``k = 1`` it is frontier-restricted Bellman-Ford.
 
 ``jfr_pq`` is event-driven: a lazy-deletion priority queue keyed by
 tentative distance selects the next active vertex, runs one depth-``k``
-local propagation from it, and queues every vertex that propagation
-improved, except one whose out-edges a later wave of the same propagation
-already relaxed at its new label (scan-once: re-scanning at an unchanged
-label cannot improve anything).  Lazy-deletion stale pops and scan-once
-together subsume the paper's frontier filter: a vertex whose label has
-settled is never scanned again, so no periodic sweep for idle vertices is
-needed.
+local propagation from it, and queues the vertices it improved.  Both
+modes scan once: neither promotes nor queues a vertex that a propagation
+wave already scanned at its new label (``LmhWorkspace.scanned``), since
+re-scanning at an unchanged label cannot improve anything.  Lazy-deletion
+stale pops and scan-once together subsume the paper's frontier filter: a
+vertex whose label has settled is never scanned again, so no periodic
+sweep for idle vertices is needed.
 
 Both modes start from :func:`jfrbench.results.start_run` and propagate
 through :func:`lmh_propagate` over one :class:`LmhWorkspace` per solve,
@@ -48,7 +47,8 @@ class LmhWorkspace:
     call, and ``mark[v] == first + r`` marks v as improved by wave ``r``
     (hence queued for wave ``r + 1``); ``mark[v] >= first`` means v
     improved somewhere in the call.  ``scanned[v]`` is the label at which
-    v's out-edges were last relaxed (NaN, equal to nothing, for never).
+    a call last relaxed v's out-edges (NaN: never).  Only calls write it;
+    ``jfr_strict``'s promotion and ``jfr_pq``'s queueing read it.
     """
 
     __slots__ = ("g", "dist", "parent", "stats", "clock", "window", "mark",
@@ -76,12 +76,12 @@ def lmh_propagate(ws: LmhWorkspace, seeds, k: int):
     relaxed (each at most once per wave; a seed listed twice is scanned
     once), so ``inspections <= depth * window_degree_sum``.  Returns the
     strictly improved vertices in first-improvement order.  A ``k < 1``
-    raises ``SpecInvalid``.
+    or no seeds raises ``SpecInvalid``.
     """
     if k < 1:
         raise SpecInvalid(f"k must be >= 1, got {k}")
     if not seeds:
-        raise ValueError("seeds must be nonempty")
+        raise SpecInvalid("seeds must be nonempty")
     g, dist, parent, stats = ws.g, ws.dist, ws.parent, ws.stats
     offsets, targets, weights = g.offsets, g.targets, g.weights
     improvements = stats.improvements
@@ -135,6 +135,7 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     offsets, targets, weights = g.offsets, g.targets, g.weights
     activations, improvements = stats.activations, stats.improvements
     ws = LmhWorkspace(g, dist, parent, stats)
+    scanned = ws.scanned
     frontier = [source]
     activations[source] = 1
     in_improved = [False] * n
@@ -178,11 +179,13 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
             next_walk = 2 * inspections
         if witness is not None:
             break
-        # (c) promote this iteration's improved set to the next frontier
+        # (c) promote each improved vertex (b) did not scan at its label
+        frontier = []
         for v in improved:
             in_improved[v] = False
-            activations[v] += 1
-        frontier = improved
+            if dist[v] != scanned[v]:
+                activations[v] += 1
+                frontier.append(v)
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.edge_inspections += frontier_inspections
     stats.outer_iterations = outer

@@ -59,9 +59,10 @@ class BoundReport:
 def bound_check(stats: RunStats, g: Graph, k: int) -> BoundReport:
     """Audit the per-run amortized activation bound for strict-depth runs.
 
-    lhs counts the edge scans implied by activations (each activation of v
-    scans deg(v) out-edges); rhs is deg-sum plus improvements weighted by
-    deg and discounted by the hop depth k.  ``holds`` allows an additive n
+    lhs counts the frontier hop's edge scans: each activation of v is one
+    scan of its deg(v) out-edges, so lhs is exactly ``edge_inspections -
+    lmh_inspections``; rhs is deg-sum plus improvements weighted by deg
+    and discounted by the hop depth k.  ``holds`` allows an additive n
     for the one-time initial activations.  Raises ModeMismatch unless the
     stats came from a strict-depth run with the same k.
     """

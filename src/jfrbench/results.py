@@ -15,9 +15,12 @@ properties computed from stored ones.
   lowered a distance: ``sum(improvements)``.
 * ``activations[v]`` — how many times ``v`` entered the active set
   (frontier entry, queue entry, or per-pass scan, depending on the mode;
-  for ``jfr_pq``, each non-stale pop, which runs one propagation from
-  ``v``, so its ``outer_iterations`` is ``sum(activations)``).  Stale
-  priority-queue pops are skipped and never counted as activations.
+  for ``jfr_strict``, each frontier scan: an improved vertex that the
+  round's propagation already scanned at its new label is not promoted,
+  so it costs no activation; for ``jfr_pq``, each non-stale pop, which
+  runs one propagation from ``v``, so its ``outer_iterations`` is
+  ``sum(activations)``).  Stale priority-queue pops are skipped and never
+  counted as activations.
 * ``queue_pushes`` — entries into the queue or heap.  SPFA and Dijkstra
   count an activation at each push, so there it is ``sum(activations)``.
 * ``stale_pops`` — priority-queue pops whose key is no longer the vertex's

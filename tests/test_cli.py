@@ -407,6 +407,12 @@ MALFORMED = {
     "gen-neg-dense-weight-hi-below-1": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--weight-hi", "0.5"],
+    "gen-neg-dense-weight-lo-below-floor": lambda tmp_path, graph: [
+        "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
+        "--neg-fraction", "0", "--weight-lo", "0.0001"],
+    "sweep-edges-neg-dense-weight-hi-below-floor": lambda tmp_path, graph: [
+        "sweep-edges", "--family", "neg-dense", "--n", "10", "--m", "20",
+        "--fractions", "0.5", "--weight-lo", "0", "--weight-hi", "0"],
     "sweep-edges-flag-the-family-does-not-read": lambda tmp_path, graph: [
         "sweep-edges", "--family", "sparse-random", "--n", "10", "--m",
         "20", "--neg-fraction", "0.5", "--fractions", "0.5"],

@@ -139,6 +139,22 @@ def test_add_edges_keeps_neg_dense_cycle_free():
         assert not bellman_ford(g2, s).neg_cycle
 
 
+def test_base_weights_below_the_floor_are_errors():
+    # weight_lo = 0 means "from the floor"; any other bound the floor
+    # would raise is rejected rather than silently changed
+    floor = 5e-4
+    assert gen_neg_dense(10, 20, 1, weight_lo=0.0, neg_fraction=0.0) == \
+        gen_neg_dense(10, 20, 1, weight_lo=floor, neg_fraction=0.0)
+    with pytest.raises(SpecInvalid):
+        gen_neg_dense(10, 20, 1, weight_lo=1e-4, neg_fraction=0.0)
+    g = gen_neg_dense(10, 20, 1)
+    for lo, hi in ((1e-4, 1.0), (-1.0, 1.0), (0.0, 0.0), (0.0, 1e-4)):
+        with pytest.raises(SpecInvalid):
+            add_edges(g, 0.5, lo, hi, seed=2)
+    assert add_edges(g, 0.5, 0.0, floor, seed=2) == \
+        add_edges(g, 0.5, floor, floor, seed=2)
+
+
 def test_add_edges_single_edge_graph():
     from jfrbench.graph import EdgeListDoc, from_edge_list
     g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0)]))

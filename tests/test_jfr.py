@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import chain, potential_graph
 from jfrbench.baselines import bellman_ford, spfa_slf
+from jfrbench.cli import DESK_SUITE
 from jfrbench.errors import IndexOutOfRange, SpecInvalid
 from jfrbench.generators import gen_slf_killer, generate
 from jfrbench.graph import EdgeListDoc, from_edge_list
@@ -55,7 +56,7 @@ def test_lmh_argument_validation():
     ws = fresh_state(chain(3))
     with pytest.raises(SpecInvalid):
         lmh_propagate(ws, [0], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecInvalid):
         lmh_propagate(ws, [], 2)
 
 
@@ -133,13 +134,15 @@ def test_jfr_strict_chain_k1():
     assert s.lmh_inspections == 0 and s.lmh_calls == []
 
 
-def test_jfr_strict_chain_deep_k_converges_in_two_iterations():
+def test_jfr_strict_chain_deep_k_converges_in_one_iteration():
+    # the propagation scans 1, 2 and 3 at their final labels, so none of
+    # them is promoted and the first frontier is the last
     r = jfr_strict(chain(4), 0, 4)
     assert r.dist == [0.0, 1.0, 2.0, 3.0]
     s = r.stats
-    assert s.outer_iterations == 2
-    assert s.activations == [1, 1, 1, 1]
-    assert s.edge_inspections == 5
+    assert s.outer_iterations == 1
+    assert s.activations == [1, 0, 0, 0]
+    assert s.edge_inspections == 3
     assert s.lmh_inspections == 2
     assert s.lmh_calls == [(3, 2, 2)]
 
@@ -186,14 +189,36 @@ def test_jfr_strict_activation_bound():
                 assert act <= 1 + -(-imp // k)
 
 
+def test_jfr_strict_inspects_at_most_m_on_neg_dense():
+    # no vertex the propagation scanned at its label is promoted, so a
+    # deeper propagation takes inspections off the frontier hop
+    for seed in range(42, 47):
+        g = generate("neg-dense", seed, n=1000, m=5000)
+        for k in (1, 2, 3, 4, 8):
+            assert jfr_strict(g, 0, k).stats.edge_inspections <= g.m, \
+                (seed, k)
+
+
+@pytest.mark.parametrize("entry", DESK_SUITE["entries"],
+                         ids=lambda entry: entry["family"])
+def test_jfr_strict_deeper_k_inspects_no_more_than_k1(entry):
+    params = {key: value for key, value in entry.items() if key != "family"}
+    for seed in range(42, 47):
+        g = generate(entry["family"], seed, **params)
+        base = jfr_strict(g, 0, 1).stats.edge_inspections
+        for k in (2, 3, 4, 8):
+            assert jfr_strict(g, 0, k).stats.edge_inspections <= base, \
+                (seed, k)
+
+
 def test_jfr_strict_counters_pinned():
     # any change here is a change in what the round-based mode does
     s = jfr_strict(potential_graph(12, 40, 5), 0, 3).stats
     assert s.lmh_calls == [(2, 28, 26), (2, 14, 9)]
-    assert s.activations == [1, 2, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1]
+    assert s.activations == [1, 1, 0, 0, 1, 0, 1, 0, 1, 2, 2, 1]
     assert s.improvements == [0, 5, 1, 3, 3, 2, 1, 1, 2, 3, 3, 2]
     assert (s.edge_inspections, s.lmh_inspections, s.outer_iterations) == \
-        (94, 42, 3)
+        (73, 42, 3)
 
 
 def test_jfr_strict_negative_cycle():

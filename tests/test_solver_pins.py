@@ -47,9 +47,9 @@ PINNED = {
     "jfr_strict-k1": (partial(jfr_strict, k=1),
                       "ed4114eb149cdfea4b24d060615aa318"),
     "jfr_strict-k2": (partial(jfr_strict, k=2),
-                      "1af7b01ef6053c6fbf5ed784c1c74ac7"),
+                      "5624266560380edd578fdb51f3cc334d"),
     "jfr_strict-k3": (partial(jfr_strict, k=3),
-                      "ea58b61efbed5b5f9adad2b6185f590e"),
+                      "c05345ac61d4c920deaca63db145da99"),
     "jfr_pq-k1": (partial(jfr_pq, k=1), "bc5a4860c8c184594dc59f6743ef394b"),
     "jfr_pq-k2": (partial(jfr_pq, k=2), "d5d87daea3932664f57557e508a5da45"),
     "jfr_pq-k3": (partial(jfr_pq, k=3), "0ae17f17a01bed6fb944ff7570a24d2d"),
