@@ -8,8 +8,8 @@ from .errors import (BrokenParentChain, HeaderMismatch, IndexOutOfRange,
                      NonFiniteWeight, ParseError, PotentialUnavailable,
                      SpecInvalid, UnknownAlgorithm, Unreachable, ZeroOps)
 from .generators import (FAMILIES, add_edges, family_params, gen_neg_dense,
-                         gen_slf_killer, gen_sparse_random, gen_windmill,
-                         generate, plant_negative_cycle)
+                         gen_pq_killer, gen_slf_killer, gen_sparse_random,
+                         gen_windmill, generate, plant_negative_cycle)
 from .graph import (EdgeListDoc, Graph, from_edge_list, read_file, read_text,
                     write_file, write_text)
 from .jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
@@ -31,9 +31,9 @@ __all__ = [
     "VerifyReport", "ZeroOps", "add_edges", "bellman_ford", "bound_check",
     "certify", "check_optimality_conditions", "compare", "cycle_weight",
     "detect_negative_cycle", "dijkstra_oracle", "family_params",
-    "from_edge_list", "gen_neg_dense", "gen_slf_killer", "gen_sparse_random",
-    "gen_windmill", "generate", "jfr_pq", "jfr_strict", "lmh_propagate",
-    "oracle_compare", "oracle_verdict", "plant_negative_cycle", "read_file",
-    "read_text", "reconstruct_path", "spfa_fifo", "spfa_slf", "write_file",
-    "write_text",
+    "from_edge_list", "gen_neg_dense", "gen_pq_killer", "gen_slf_killer",
+    "gen_sparse_random", "gen_windmill", "generate", "jfr_pq", "jfr_strict",
+    "lmh_propagate", "oracle_compare", "oracle_verdict",
+    "plant_negative_cycle", "read_file", "read_text", "reconstruct_path",
+    "spfa_fifo", "spfa_slf", "write_file", "write_text",
 ]

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import statistics
@@ -158,20 +159,19 @@ def cmd_run(args) -> int:
         check = _check(g, args.source, result)
     else:
         check = "SKIPPED"
+    if args.out:  # before the summary, so a failed write prints no row
+        payload = dict(graph=args.graph, source=args.source,
+                       algorithm=args.algo, neg_cycle=result.neg_cycle,
+                       dist=[_json_label(d) for d in result.dist],
+                       parent=result.parent)
+        with open(args.out, "w") as fh:  # dumps: json.dump skips the C encoder
+            fh.write(json.dumps(payload) + "\n")
     s = result.stats
     print(json.dumps(dict(
         graph=args.graph, family="file", n=g.n, m=g.m, algorithm=args.algo,
         time_ns=s.wall_time_ns, edge_inspections=s.edge_inspections,
         successful_relaxations=s.successful_relaxations,
         outer_iterations=s.outer_iterations, check=check)))
-    if args.out:
-        payload = dict(graph=args.graph, source=args.source,
-                       algorithm=args.algo, neg_cycle=result.neg_cycle,
-                       dist=[_json_label(d) for d in result.dist],
-                       parent=result.parent)
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
     return 0
 
 
@@ -415,7 +415,10 @@ def _add_flags(parser, flags):
                             type=GEN_FLAGS[flag])
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: building it costs more than a small
+    command's own work, and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jfrbench",
         description="shortest-path benchmark toolkit")

@@ -1,4 +1,4 @@
-"""Seeded construction of the four benchmark graph families plus the
+"""Seeded construction of the five benchmark graph families plus the
 edge-increment perturbation.
 
 Families
@@ -38,6 +38,18 @@ Families
     its whole out-neighbourhood, giving Theta(n^2) inspections for
     SPFA-SLF, while a global-minimum priority order pops the best improver
     first and settles the amplifier once.
+
+``pq-killer``
+    Adversarial input for a lazy-deletion priority queue on negative
+    weights (D. B. Johnson, JACM 1973).  ``levels`` levels chain the
+    source to a last vertex; each has a zero-weight direct edge and a
+    detour through ``detour`` fresh vertices that is dearer at first but
+    saves ``2^(j-1)`` at level j.  The queue reaches a detour only after
+    the whole cascade below has run at the worse label, so the cascade
+    runs again and the scans double per level.  A depth-k propagation
+    repairs the detours within its reach, so ``jfr_pq`` at ``k <= detour``
+    is exponential in ``levels``, while FIFO order, SLF and ``jfr_strict``
+    stay far below ``n * m`` inspections.
 
 ``FAMILIES`` maps each name to its generator, whose signature is the one
 list of the family's parameters with their types and defaults; ``generate``,
@@ -214,6 +226,33 @@ def gen_slf_killer(n: int, seed: int) -> Graph:
     return from_edge_list(EdgeListDoc(n, edges))
 
 
+def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
+    """Build the doubling instance described in the module docstring.
+
+    Layout (source 0 = s_levels): level j = levels..1 holds s_j, then its
+    ``detour`` vertices, then s_{j-1}, so vertex numbers ascend along the
+    chain and Bellman-Ford settles the graph in two passes.  The direct
+    edge s_j -> s_{j-1} weighs 0; the detour's edges weigh j, 0, ..., 0,
+    -(j + 2^(j-1)).  ``n = levels * (detour + 1) + 1`` and ``m = levels *
+    (detour + 2)``.  Every weight is an integer and every label is below
+    2^(levels+1) in size, so labels stay exact.  The instance does not
+    depend on ``seed``: every seed gives the same graph.
+    """
+    if not 1 <= levels <= 50:
+        raise SpecInvalid("pq-killer needs 1 <= levels <= 50")
+    if detour < 1:
+        raise SpecInvalid("pq-killer needs detour >= 1")
+    edges = []
+    for j in range(levels, 0, -1):
+        top = (levels - j) * (detour + 1)  # s_j
+        path = range(top, top + detour + 2)  # s_j, the detour, s_{j-1}
+        edges.append((top, path[-1], 0.0))
+        saving = float(2 ** (j - 1))
+        weights = [float(j)] + [0.0] * (detour - 1) + [-(j + saving)]
+        edges += zip(path, path[1:], weights)
+    return from_edge_list(EdgeListDoc(levels * (detour + 1) + 1, edges))
+
+
 def add_edges(g: Graph, fraction: float, weight_lo: float, weight_hi: float,
               seed: int) -> Graph:
     """New graph with ``ceil(fraction * m)`` extra random edges appended;
@@ -292,6 +331,7 @@ FAMILIES = {
     "neg-dense": gen_neg_dense,
     "windmill": gen_windmill,
     "slf-killer": gen_slf_killer,
+    "pq-killer": gen_pq_killer,
 }
 _PARAMS = {family: {name: p for name, p in
                     inspect.signature(gen).parameters.items()

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import jfrbench
 from conftest import rule_before_certify
+from jfrbench import cli
 from jfrbench.baselines import bellman_ford
 from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
 from jfrbench.generators import (FAMILIES, family_params, generate,
@@ -433,6 +436,9 @@ MALFORMED = {
         "run", _file_arg(tmp_path, "c.txt", "# no header\n"), "--algo", "bf"],
     "run-graph-missing": lambda tmp_path, graph: [
         "run", str(tmp_path / "missing.txt"), "--algo", "bf"],
+    "run-out-unwritable": lambda tmp_path, graph: [
+        "run", graph, "--algo", "jfr-pq", "--out",
+        str(tmp_path / "missing" / "r.json")],
     "verify-not-json": _verify_with("{not json"),
     "verify-payload-list": _verify_with([0.0, 1.0, 2.0]),
     "verify-no-dist": _verify_with({"parent": [None, 0, 1]}),
@@ -490,6 +496,51 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: ") and \
         done.stderr.count("\n") == 1
+
+
+def test_run_out_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # relative paths, since the payload names the graph file; the graph
+    # has negative weights and 15 vertices the source cannot reach
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "gen", "--family", "neg-dense", "--n", "40",
+                   "--m", "60", "--seed", "2", "-o", "g.txt")[0] == 0
+    assert run_cli(capsys, "run", "g.txt", "--algo", "jfr-pq", "--out",
+                   "r.json")[0] == 0
+    text = (tmp_path / "r.json").read_bytes()
+    assert strict_json(text)["dist"].count("inf") == 15
+    assert hashlib.md5(text).hexdigest() == "63c22a9539ccc9d256b87abf8247bffa"
+
+
+def untimed(out):
+    """``out`` with the run row's wall time blanked."""
+    return re.sub(r'"time_ns": \d+', '"time_ns": 0', out)
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    graph = _file_arg(tmp_path, "g.txt", TRIPLE)
+    result = _file_arg(tmp_path, "r.json", json.dumps(GOOD_RESULT))
+    run = ["run", graph, "--algo", "jfr-pq", "--check"]
+    calls = [run, ["run", graph, "--algo", "jfr-pq", "--k", "0"],
+             ["run", graph, "--algo", "bf", "--bogus"],
+             ["gen", "--family", "windmill", "--blades", "2",
+              "--blade-size", "3"],
+             ["verify", graph, result], run]
+    fresh = []
+    for argv in calls:  # each call first in a fresh process
+        done = run_module(*argv)
+        fresh.append((done.returncode, untimed(done.stdout), done.stderr))
+    cli._build_parser.cache_clear()
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exit on the unknown flag
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, untimed(captured.out), captured.err))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
 
 
 # Fuzz graphs: a feasible one with a zero-weight cycle and a vertex the
@@ -590,7 +641,8 @@ ENTRY_VALUES = {
     "n": st.integers(0, 30), "m": st.integers(-1, 90),
     "weight_lo": WEIGHT, "weight_hi": WEIGHT,
     "neg_fraction": st.floats(-0.5, 1.5), "blades": st.integers(0, 4),
-    "blade_size": st.integers(0, 6), "bogus": st.integers(0, 3),
+    "blade_size": st.integers(0, 6), "levels": st.integers(0, 8),
+    "detour": st.integers(0, 3), "bogus": st.integers(0, 3),
 }
 
 

@@ -41,6 +41,12 @@ PINNED = {
     "slf-killer-default": (
         lambda: generate("slf-killer", 3, n=60),
         "519855ac6c2a2df760d823fbaa3500a3"),
+    "pq-killer-detour1": (
+        lambda: generate("pq-killer", 3, levels=8, detour=1),
+        "6b4f36b849fa5648ed6e9be64e10c4ab"),
+    "pq-killer-detour3": (
+        lambda: generate("pq-killer", 3, levels=12, detour=3),
+        "767b6a4a835c61c05a9e2c0b6bfe63bd"),
     "bench-mixed-sparse": (
         lambda: generate("neg-dense", 7, n=1000, m=5000, neg_fraction=0.3),
         "dc743bf059c0e6f9e8def713fe646e36"),

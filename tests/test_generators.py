@@ -228,12 +228,25 @@ def test_generate_dispatcher():
 
 def test_family_params_come_from_the_generator_signatures():
     assert list(FAMILIES) == ["sparse-random", "neg-dense", "windmill",
-                              "slf-killer"]
+                              "slf-killer", "pq-killer"]
     assert list(family_params("neg-dense")) == [
         "n", "m", "weight_lo", "weight_hi", "neg_fraction"]
     assert family_params("neg-dense")["neg_fraction"].default == 0.3
     assert family_params("windmill")["blades"].annotation is int
     assert list(family_params("slf-killer")) == ["n"]
+    assert list(family_params("pq-killer")) == ["levels", "detour"]
     for bad in ("bogus", ["slf-killer"]):
         with pytest.raises(SpecInvalid):
             family_params(bad)
+
+
+def test_pq_killer_shape_and_seed_independence():
+    for levels, detour in ((1, 1), (5, 1), (6, 3)):
+        g = generate("pq-killer", 0, levels=levels, detour=detour)
+        assert (g.n, g.m) == (levels * (detour + 1) + 1, levels * (detour + 2))
+        assert all(w == int(w) for w in g.weights)
+        assert graph_bytes(generate("pq-killer", 99, levels=levels,
+                                    detour=detour)) == graph_bytes(g)
+    for levels, detour in ((0, 1), (51, 1), (4, 0)):
+        with pytest.raises(SpecInvalid):
+            generate("pq-killer", 0, levels=levels, detour=detour)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, potential_graph
-from jfrbench.baselines import bellman_ford, spfa_slf
+from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.cli import DESK_SUITE
 from jfrbench.errors import IndexOutOfRange, SpecInvalid
 from jfrbench.generators import gen_slf_killer, generate
@@ -325,6 +325,38 @@ def test_jfr_pq_inspects_no_more_than_slf_on_benign_families(family, params):
 def test_jfr_pq_slf_killer_inspections_pinned():
     assert jfr_pq(gen_slf_killer(2000, seed=0), 0).stats.edge_inspections \
         == 3998
+
+
+PQ_KILLER_LEVELS = (8, 12, 16)
+
+
+@pytest.mark.xfail(strict=True, reason="jfr_pq is exponential on pq-killer "
+                   "at every k <= detour: lazy deletion re-runs the cascade "
+                   "below each detour (ROADMAP item 2)")
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_jfr_pq_inspects_at_most_nm_on_pq_killer(k):
+    for levels in PQ_KILLER_LEVELS:
+        g = generate("pq-killer", 0, levels=levels, detour=k)
+        assert jfr_pq(g, 0, k).stats.edge_inspections <= g.n * g.m, levels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pq_killer_labels_and_fifo_inspections(k):
+    for levels in PQ_KILLER_LEVELS:
+        g = generate("pq-killer", 0, levels=levels, detour=k)
+        fifo = spfa_fifo(g, 0)
+        assert fifo.dist == bellman_ford(g, 0).dist
+        assert fifo.dist[-1] == -(2 ** levels - 1)  # every detour taken
+        if levels < PQ_KILLER_LEVELS[-1]:  # the top rung costs jfr_pq 0.5 s
+            assert jfr_pq(g, 0, k).dist == fifo.dist
+        # about a quarter of n * m at detour 1, less at longer detours
+        assert fifo.stats.edge_inspections <= g.n * g.m / 3
+
+
+def test_jfr_pq_pq_killer_inspections_pinned():
+    # at k = detour = 1 each level doubles the scans: 3 * (2^levels - 1)
+    assert [jfr_pq(generate("pq-killer", 0, levels=levels, detour=1), 0, 1)
+            .stats.edge_inspections for levels in (8, 12)] == [765, 12285]
 
 
 def test_jfr_pq_argument_validation():
