@@ -5,9 +5,9 @@ from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (BrokenParentChain, HeaderMismatch, IndexOutOfRange,
                      JfrError, MissingEdge, ModeMismatch, NegativeSelfLoop,
                      NegativeWeightPresent, NegCycleResult, NoCycleRecorded,
-                     NonFiniteWeight, ParseError, PotentialUnavailable,
-                     SpecInvalid, UnknownAlgorithm, Unreachable, ZeroOps)
-from .generators import (FAMILIES, add_edges, family_params, gen_neg_dense,
+                     NonFiniteWeight, ParseError, SpecInvalid,
+                     UnknownAlgorithm, Unreachable, ZeroOps)
+from .generators import (FAMILIES, family_params, gen_neg_dense,
                          gen_pq_killer, gen_slf_killer, gen_sparse_random,
                          gen_windmill, generate, plant_negative_cycle)
 from .graph import (EdgeListDoc, Graph, from_edge_list, read_file, read_text,
@@ -26,14 +26,13 @@ __all__ = [
     "FAMILIES", "Graph", "HeaderMismatch", "IndexOutOfRange", "JfrError",
     "LmhWorkspace", "MissingEdge", "ModeMismatch", "NegCycleResult",
     "NegativeSelfLoop", "NegativeWeightPresent", "NoCycleRecorded",
-    "NonFiniteWeight", "ParseError", "PotentialUnavailable", "RunStats",
-    "SpecInvalid", "SsspResult", "UnknownAlgorithm", "Unreachable",
-    "VerifyReport", "ZeroOps", "add_edges", "bellman_ford", "bound_check",
-    "certify", "check_optimality_conditions", "compare", "cycle_weight",
-    "detect_negative_cycle", "dijkstra_oracle", "family_params",
-    "from_edge_list", "gen_neg_dense", "gen_pq_killer", "gen_slf_killer",
-    "gen_sparse_random", "gen_windmill", "generate", "jfr_pq", "jfr_strict",
-    "lmh_propagate", "oracle_compare", "oracle_verdict",
-    "plant_negative_cycle", "read_file", "read_text", "reconstruct_path",
-    "spfa_fifo", "spfa_slf", "write_file", "write_text",
+    "NonFiniteWeight", "ParseError", "RunStats", "SpecInvalid", "SsspResult",
+    "UnknownAlgorithm", "Unreachable", "VerifyReport", "ZeroOps",
+    "bellman_ford", "bound_check", "certify", "check_optimality_conditions",
+    "compare", "cycle_weight", "detect_negative_cycle", "dijkstra_oracle",
+    "family_params", "from_edge_list", "gen_neg_dense", "gen_pq_killer",
+    "gen_slf_killer", "gen_sparse_random", "gen_windmill", "generate",
+    "jfr_pq", "jfr_strict", "lmh_propagate", "oracle_compare",
+    "oracle_verdict", "plant_negative_cycle", "read_file", "read_text",
+    "reconstruct_path", "spfa_fifo", "spfa_slf", "write_file", "write_text",
 ]

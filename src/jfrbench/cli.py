@@ -1,12 +1,11 @@
 """Benchmark command line.
 
 Subcommands:
-  gen          write a generated graph in the text format
-  run          run one algorithm on a graph file, print a JSON result row
-  compare      run a baseline and a jump-frontier algorithm, print CSV
-  suite        run a multi-family suite (bundled desk suite by default)
-  sweep-edges  re-run one algorithm while appending random edges in steps
-  verify       check a saved result file against the oracle
+  gen      write a generated graph in the text format
+  run      run one algorithm on a graph file, print a JSON result row
+  compare  run a baseline and a jump-frontier algorithm, print CSV
+  suite    run a multi-family suite (bundled desk suite by default)
+  verify   check a saved result file against the oracle
 
 Determinism: re-running any command with identical flags reproduces the
 operation-count columns byte for byte; only wall times vary.  Instance i
@@ -31,14 +30,14 @@ import sys
 from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
-from .generators import FAMILIES, add_edges, family_params, generate
+from .generators import FAMILIES, family_params, generate
 from .graph import Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
 from .verify import certify, well_formed_parents
 
-SCHEMA_TAG = "#schema=1"  # suite and sweep-edges rows
+SCHEMA_TAG = "#schema=1"  # suite rows
 COMPARE_SCHEMA_TAG = "#schema=3"  # compare rows
 ALGORITHMS = {"bf": bellman_ford, "spfa": spfa_fifo, "slf": spfa_slf,
               "jfr-strict": jfr_strict, "jfr-pq": jfr_pq,
@@ -46,11 +45,9 @@ ALGORITHMS = {"bf": bellman_ford, "spfa": spfa_fifo, "slf": spfa_slf,
 READS_K = ("jfr-strict", "jfr-pq")  # the algorithms called with a depth k
 
 SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
-# every generator parameter and its type, in family-table order: the flags
-# of gen; sweep-edges' --weight-lo / --weight-hi weigh the added edges
+# every generator parameter and its type, in family-table order: gen's flags
 GEN_FLAGS = {name: p.annotation for family in FAMILIES
              for name, p in family_params(family).items()}
-SWEEP_FLAGS = [name for name in GEN_FLAGS if not name.startswith("weight_")]
 
 # Desk-scale default suite: one entry per family, sized to finish in
 # about a minute while still separating the algorithms clearly.
@@ -126,11 +123,11 @@ def _write_csv(path, tag, header, rows):
         writer.writerows(rows)
 
 
-def _generate(args, flags):
-    """The ``--family`` graph, from those of the generator ``flags`` that
-    were given; a given flag that the family does not read is an error."""
-    reads = [flag for flag in flags if flag in family_params(args.family)]
-    params = {flag: getattr(args, flag) for flag in flags}
+def _generate(args):
+    """The ``--family`` graph, from those of the generator flags that were
+    given; a given flag that the family does not read is an error."""
+    reads = [flag for flag in GEN_FLAGS if flag in family_params(args.family)]
+    params = {flag: getattr(args, flag) for flag in GEN_FLAGS}
     for flag, value in params.items():
         if value is not None and flag not in reads:
             raise SpecInvalid(
@@ -141,7 +138,7 @@ def _generate(args, flags):
 
 
 def cmd_gen(args) -> int:
-    g = _generate(args, GEN_FLAGS)
+    g = _generate(args)
     if args.out:
         write_file(args.out, g)
         print(f"family={args.family} n={g.n} m={g.m} seed={args.seed} "
@@ -242,16 +239,22 @@ def _validate_suite(spec):
             kinds = (int,) if reads[key].annotation is int else (int, float)
             _expect(value is None or type(value) in kinds, f"entry {key!r} "
                     f"must be {' or '.join(t.__name__ for t in kinds)}", value)
+            _expect(kinds == (int,) or value is None
+                    or abs(value) <= sys.float_info.max,
+                    f"entry {key!r} must be a finite number", value)
     ids = [_entry_id(entry) for entry in entries]
     _expect(len(set(ids)) == len(ids), "two entries share an id", ids)
 
 
 def _entry_id(entry):
     """The entry's family, then each parameter it gives, in the order of
-    the family's generator signature: entries that differ differ in id."""
+    the family's generator signature; a float parameter is written as a
+    float, so ``0`` and ``0.0`` (the same graph) give the same id."""
+    params = family_params(entry["family"])
     return "-".join([entry["family"]] + [
-        f"{name}{entry[name]}" for name in family_params(entry["family"])
-        if entry.get(name) is not None])
+        f"{name}{float(v) if p.annotation is float else v}"
+        for name, p in params.items()
+        if (v := entry.get(name)) is not None])
 
 
 def _suite_instance(spec, entry, i):
@@ -302,54 +305,6 @@ def cmd_suite(args) -> int:
                 "outer_iterations", "check"], rows)
     if args.out:
         print(f"wrote {len(rows)} rows -> {args.out}")
-    return 0
-
-
-def _parse_fractions(text):
-    try:
-        fractions = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise SpecInvalid(f"bad fraction list {text!r}") from None
-    if not fractions:
-        raise SpecInvalid("at least one fraction is required")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise SpecInvalid(f"fraction {f} outside (0, 1]")
-    return fractions
-
-
-def cmd_sweep_edges(args) -> int:
-    fractions = _parse_fractions(args.fractions)
-    k = _k_for([args.algo], args.k)
-    if args.graph:
-        if args.family or any(getattr(args, f) is not None
-                              for f in SWEEP_FLAGS):
-            raise SpecInvalid("a graph file takes neither --family nor its "
-                              "generator flags")
-        g0 = read_file(args.graph)
-    elif args.family:
-        g0 = _generate(args, SWEEP_FLAGS)
-    else:
-        raise SpecInvalid("sweep-edges needs a graph file or --family")
-    rows = []
-
-    def measure(g, fraction):
-        result = run_algorithm(args.algo, g, args.source, k)
-        check = _check(g, args.source, result)
-        rows.append([f"{fraction:.6f}", g.n, g.m, g.m - g0.m,
-                     result.stats.wall_time_ns,
-                     result.stats.edge_inspections, None, check])
-
-    measure(g0, 0.0)
-    for i, f in enumerate(fractions):
-        measure(add_edges(g0, f, args.weight_lo, args.weight_hi,
-                          args.seed + 1 + i), f)
-    base_ops = rows[0][5]
-    for row in rows:
-        row[6] = row[5] - base_ops  # delta_ops against the unaugmented run
-    _write_csv(args.out, SCHEMA_TAG,
-               ["fraction", "n", "m", "delta_edges", "time_ns",
-                "edge_inspections", "delta_ops", "check"], rows)
     return 0
 
 
@@ -409,12 +364,6 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_flags(parser, flags):
-    for flag in flags:
-        parser.add_argument("--" + flag.replace("_", "-"),
-                            type=GEN_FLAGS[flag])
-
-
 @functools.cache
 def _build_parser():
     """The one parser of the process: building it costs more than a small
@@ -427,7 +376,8 @@ def _build_parser():
     p = sub.add_parser("gen", help="generate a graph")
     p.add_argument("--family", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_flags(p, GEN_FLAGS)
+    for flag, kind in GEN_FLAGS.items():
+        p.add_argument("--" + flag.replace("_", "-"), type=kind)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen)
 
@@ -454,22 +404,6 @@ def _build_parser():
     p.add_argument("spec", nargs="?")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser("sweep-edges",
-                       help="measure one algorithm while adding edges")
-    p.add_argument("graph", nargs="?")
-    p.add_argument("--family")
-    _add_flags(p, SWEEP_FLAGS)
-    p.add_argument("--fractions", required=True,
-                   help="comma-separated list, each in (0,1]")
-    p.add_argument("--algo", default="jfr-pq")
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, help=f"jfr depth (default {DEFAULT_K})")
-    p.add_argument("--weight-lo", type=float, default=0.0)
-    p.add_argument("--weight-hi", type=float, default=10.0)
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_sweep_edges)
 
     p = sub.add_parser("verify", help="audit a saved result file")
     p.add_argument("graph")

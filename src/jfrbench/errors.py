@@ -39,11 +39,6 @@ class SpecInvalid(JfrError):
     """A generator parameter is out of its valid range."""
 
 
-class PotentialUnavailable(JfrError):
-    """Negative-safe edge increments need the hidden potentials, which this
-    graph does not carry."""
-
-
 # --- algorithms ---
 
 class NegativeWeightPresent(JfrError):

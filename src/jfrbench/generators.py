@@ -1,5 +1,4 @@
-"""Seeded construction of the five benchmark graph families plus the
-edge-increment perturbation.
+"""Seeded construction of the five benchmark graph families.
 
 Families
 --------
@@ -20,9 +19,7 @@ Families
     read only for ``neg_fraction = 0``, which degenerates to plain uniform
     weights, and is an error otherwise.  There the weights start at
     ``weight_lo``, or at the floor ``5e-4`` for the default ``weight_lo =
-    0``; a ``weight_lo`` strictly between 0 and the floor is an error.  The
-    potentials ride along on the returned graph so later edge increments
-    can reuse the same scheme.
+    0``; a ``weight_lo`` strictly between 0 and the floor is an error.
 
 ``windmill``
     The classic windmill: ``blades`` bidirected complete graphs on
@@ -61,29 +58,18 @@ conditioned.
 """
 
 import inspect
-import math
 import random
 
-from .errors import PotentialUnavailable, SpecInvalid
+from .errors import SpecInvalid
 from .graph import EdgeListDoc, Graph, from_edge_list
 
-# smallest base offset for potential-shifted weights: large against float
-# rounding error so no cycle can telescope to a (spuriously) negative sum
+# smallest weight of a neg-dense graph with no negative share (all its
+# potentials zero): weights stay positive against the 6-digit rounding
 _W0_FLOOR = 5e-4
 
 
 def _r6(x: float) -> float:
     return round(x, 6)
-
-
-def _above_floor(weight_lo, weight_hi):
-    """The band ``(lo, hi)`` of positive base weights that ``weight_lo``
-    and ``weight_hi`` ask for: ``weight_lo = 0`` means from ``_W0_FLOOR``,
-    and a bound that the floor would raise otherwise is an error."""
-    if weight_lo != 0.0 and weight_lo < _W0_FLOOR or weight_hi < _W0_FLOOR:
-        raise SpecInvalid(f"base weights need weight_lo = 0 or >= "
-                          f"{_W0_FLOOR}, and weight_hi >= {_W0_FLOOR}")
-    return max(weight_lo, _W0_FLOOR), weight_hi
 
 
 def _check_ranges(n, m, weight_lo, weight_hi, neg_fraction=0.0):
@@ -118,11 +104,12 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
     if neg_fraction > 0.0 and weight_lo != 0.0:
         raise SpecInvalid("neg-dense reads weight_lo only when "
                           "neg_fraction = 0")
-    if neg_fraction == 0.0:  # plain positive weights, zero potentials
-        g = gen_sparse_random(n, m, seed,
-                              *_above_floor(weight_lo, weight_hi))
-        g.potentials = [0.0] * n
-        return g
+    if neg_fraction == 0.0:  # plain positive weights, from the floor up
+        if 0.0 < weight_lo < _W0_FLOOR:
+            raise SpecInvalid(f"neg-dense needs weight_lo = 0 or >= "
+                              f"{_W0_FLOOR}, got {weight_lo}")
+        return gen_sparse_random(n, m, seed, max(weight_lo, _W0_FLOOR),
+                                 weight_hi)
     rng = random.Random(seed)
     f = neg_fraction
     spread = weight_hi
@@ -158,9 +145,7 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
             if potentials[u] > potentials[v]:
                 u, v = v, u
         edges.append((u, v, _r6(w0 + potentials[u] - potentials[v])))
-    g = from_edge_list(EdgeListDoc(n, edges))
-    g.potentials = potentials
-    return g
+    return from_edge_list(EdgeListDoc(n, edges))
 
 
 def gen_windmill(blades: int, blade_size: int, seed: int,
@@ -253,60 +238,12 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
     return from_edge_list(EdgeListDoc(levels * (detour + 1) + 1, edges))
 
 
-def add_edges(g: Graph, fraction: float, weight_lo: float, weight_hi: float,
-              seed: int) -> Graph:
-    """New graph with ``ceil(fraction * m)`` extra random edges appended;
-    the original edges are preserved verbatim.
-
-    Graphs carrying potentials get potential-shifted additions (mixed-sign
-    but still negative-cycle-free) whose base weights start at
-    ``weight_lo``, or at the floor for ``weight_lo = 0``; plain
-    non-negative graphs get plain non-negative additions.  A plain graph
-    that already has negative edges cannot be extended safely and raises
-    PotentialUnavailable.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise SpecInvalid("fraction must be in (0, 1]")
-    if fraction * g.m < 1.0:
-        raise SpecInvalid("fraction * m must be >= 1")
-    if weight_lo > weight_hi:
-        raise SpecInvalid("weight_lo must be <= weight_hi")
-    extra = math.ceil(fraction * g.m)
-    rng = random.Random(seed)
-    n = g.n
-    edges = list(g.edges())
-    if g.potentials is not None:
-        p = g.potentials
-        lo, hi = _above_floor(weight_lo, weight_hi)
-        for _ in range(extra):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            edges.append((u, v, _r6(rng.uniform(lo, hi) + p[u] - p[v])))
-    else:
-        if any(w < 0 for w in g.weights):
-            raise PotentialUnavailable(
-                "graph has negative edges but no potentials; cannot add "
-                "edges without risking a negative cycle")
-        if weight_lo < 0:
-            raise SpecInvalid("additions to a plain graph must be non-negative")
-        for _ in range(extra):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            edges.append((u, v, _r6(rng.uniform(weight_lo, weight_hi))))
-    out = from_edge_list(EdgeListDoc(n, edges))
-    out.potentials = g.potentials
-    return out
-
-
 def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
                          total_weight: float = -0.5,
                          source: int = 0) -> Graph:
     """Fault injection for detection tests: append a cycle of
     ``cycle_len`` fresh edges whose weights sum to ``total_weight`` (< 0),
     plus an edge making it reachable from ``source``.
-
-    The potentials, if any, are dropped — the guarantee they encode no
-    longer holds.
     """
     if cycle_len < 2 or cycle_len > g.n:
         raise SpecInvalid("cycle_len must be in [2, n]")

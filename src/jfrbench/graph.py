@@ -40,20 +40,16 @@ class Graph:
     """Directed graph with float weights in CSR form.
 
     Attributes are set once at construction and treated as read-only.
-    ``potentials`` is an optional per-vertex list carried by generators that
-    build weights via a potential shift; it is what makes later negative-safe
-    edge additions possible and is never serialized.
     """
 
-    __slots__ = ("n", "m", "offsets", "targets", "weights", "potentials")
+    __slots__ = ("n", "m", "offsets", "targets", "weights")
 
-    def __init__(self, n, offsets, targets, weights, potentials=None):
+    def __init__(self, n, offsets, targets, weights):
         self.n = n
         self.m = len(targets)
         self.offsets = offsets
         self.targets = targets
         self.weights = weights
-        self.potentials = potentials
 
     def out_degree(self, u: int) -> int:
         if not 0 <= u < self.n:

@@ -7,6 +7,7 @@ and 6.
 """
 
 import csv
+import json
 import statistics
 import time
 from dataclasses import dataclass
@@ -222,32 +223,30 @@ def test_criterion_6_local_propagation_cost_bound(sweep):
 
 
 def test_criterion_7_edge_increment_sweep(tmp_path):
-    fractions = ("0.05", "0.10", "0.15")
-    signs = {f: [0, 0] for f in fractions}  # [negative, non-negative]
-    failures = 0
-    for i in range(30):
-        out = tmp_path / f"sweep{i}.csv"
-        code = main(["sweep-edges", "--family", "neg-dense", "--n", "500",
-                     "--m", "30000", "--neg-fraction", "0.3",
-                     "--seed", str(40_000 + i), "--fractions",
-                     ",".join(fractions), "--algo", "jfr-pq",
-                     "-o", str(out)])
-        if code != 0:
-            failures += 1
-            continue
-        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-        if len(rows) != 4 or any(r["check"] != "PASS" for r in rows):
-            failures += 1
-            continue
-        for r in rows[1:]:
-            sign = 0 if int(r["delta_ops"]) < 0 else 1
-            signs[f"{float(r['fraction']):.2f}"][sign] += 1
-    ok = failures == 0
-    dist = ", ".join(f"f={f}: {neg}neg/{pos}pos"
-                     for f, (neg, pos) in signs.items())
+    # at a fixed seed, a neg-dense graph with more edges is the graph with
+    # fewer edges plus some appended, so this m-ladder adds 5%, 10% and 15%
+    # more edges to the same 30 graphs
+    ladder = (30_000, 31_500, 33_000, 34_500)
+    spec, out = tmp_path / "ladder.json", tmp_path / "ladder.csv"
+    spec.write_text(json.dumps({
+        "seed": 40_000, "repetitions": 30, "algorithms": ["jfr-pq", "slf"],
+        "entries": [{"family": "neg-dense", "n": 500, "m": m,
+                     "neg_fraction": 0.3} for m in ladder]}))
+    assert main(["suite", str(spec), "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    means = {algo: [float(r["edge_inspections"]) for r in rows
+                    if r["algorithm"] == algo] for algo in ("jfr-pq", "slf")}
+    passed = len(rows) == 8 and all(r["check"] == "PASS" for r in rows)
+    rising = all(len(v) == len(ladder) and v == sorted(set(v))
+                 for v in means.values())
+    ok = passed and rising
+    shown = "; ".join(f"{algo} " + " / ".join(f"{v:.0f}" for v in vals)
+                      for algo, vals in means.items())
     report(f"ACCEPTANCE 7 edge-increment sweep: {'PASS' if ok else 'FAIL'} "
-           f"— 30 seeds, {failures} failed runs; delta-ops signs: {dist}")
-    assert failures == 0
+           f"— m = {', '.join(map(str, ladder))} on 30 seeds, {len(rows)} "
+           f"rows all PASS: {passed}; mean inspections {shown}")
+    assert passed
+    assert rising
 
 
 @pytest.fixture(scope="module")

@@ -203,6 +203,7 @@ def test_suite_validation(capsys, tmp_path):
 
 def test_suite_ids_name_every_given_parameter(capsys, tmp_path):
     spec = write_suite(tmp_path, algorithms=["bf"], entries=[
+        {"family": "neg-dense", "n": 30, "m": 120, "neg_fraction": 0},
         {"family": "neg-dense", "n": 30, "m": 120, "neg_fraction": 0.2},
         {"family": "neg-dense", "n": 30, "m": 120, "neg_fraction": 0.6},
         {"family": "windmill", "blades": 3, "blade_size": 4},
@@ -212,46 +213,11 @@ def test_suite_ids_name_every_given_parameter(capsys, tmp_path):
     assert code == 0, err
     rows = list(csv.DictReader(out.splitlines()[1:]))
     assert [r["id"] for r in rows] == [
+        "neg-dense-n30-m120-neg_fraction0.0",
         "neg-dense-n30-m120-neg_fraction0.2",
         "neg-dense-n30-m120-neg_fraction0.6",
         "windmill-blades3-blade_size4",
         "windmill-blades3-blade_size4-weight_lo2.0"]
-
-
-def test_sweep_edges_rows(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "sweep-edges", "--family", "neg-dense",
-                             "--n", "60", "--m", "400", "--seed", "5",
-                             "--fractions", "0.05,0.10", "--algo", "jfr-pq")
-    assert code == 0, err
-    lines = out.splitlines()
-    assert lines[0] == "#schema=1"
-    rows = list(csv.DictReader(lines[1:]))
-    assert [r["fraction"] for r in rows] == ["0.000000", "0.050000",
-                                             "0.100000"]
-    assert [int(r["delta_edges"]) for r in rows] == [0, 20, 40]
-    base_ops = int(rows[0]["edge_inspections"])
-    for r in rows:
-        assert int(r["delta_ops"]) == int(r["edge_inspections"]) - base_ops
-        assert r["check"] == "PASS"
-
-
-def test_sweep_edges_minimum_increment(capsys, tmp_path):
-    graph = tmp_path / "two.txt"
-    graph.write_text("2 1\n0 1 1.0\n")
-    code, out, _ = run_cli(capsys, "sweep-edges", str(graph),
-                           "--fractions", "1.0", "--algo", "bf")
-    assert code == 0
-    rows = list(csv.DictReader(out.splitlines()[1:]))
-    assert [int(r["m"]) for r in rows] == [1, 2]
-
-
-def test_sweep_edges_bad_fractions(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "sweep-edges", "--family", "sparse-random",
-                           "--n", "10", "--m", "20", "--fractions", "0,0.5")
-    assert code == 1 and "fraction" in err
-    code, _, err = run_cli(capsys, "sweep-edges", "--family", "sparse-random",
-                           "--n", "10", "--m", "20", "--fractions", " ")
-    assert code == 1
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -371,13 +337,16 @@ MALFORMED = {
     "suite-k-without-jfr": _suite_with(k=-4, algorithms=["bf"]),
     "suite-entry-ids-collide": _suite_with(entries=[
         {"family": "slf-killer", "n": 60}, {"n": 60, "family": "slf-killer"}]),
+    "suite-entry-ids-collide-int-and-float": _suite_with(entries=[
+        {"family": "neg-dense", "n": 40, "m": 200, "neg_fraction": 0},
+        {"family": "neg-dense", "n": 40, "m": 200, "neg_fraction": 0.0}]),
+    "suite-entry-float-past-float-range": _suite_with(entries=[
+        {"family": "sparse-random", "n": 40, "m": 200,
+         "weight_hi": 10 ** 400}]),
     "run-k-without-jfr": lambda tmp_path, graph: [
         "run", graph, "--algo", "bf", "--k", "-5"],
     "compare-k-without-jfr": lambda tmp_path, graph: [
         "compare", graph, "--base", "bf", "--jfr", "slf", "--k", "-3"],
-    "sweep-edges-k-without-jfr": lambda tmp_path, graph: [
-        "sweep-edges", graph, "--algo", "slf", "--k", "-5",
-        "--fractions", "0.5"],
     "suite-entry-n-string": _suite_with(entries=[
         {"family": "slf-killer", "n": "60"}]),
     "suite-spec-list": lambda tmp_path, graph: [
@@ -413,23 +382,6 @@ MALFORMED = {
     "gen-neg-dense-weight-lo-below-floor": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--neg-fraction", "0", "--weight-lo", "0.0001"],
-    "sweep-edges-neg-dense-weight-hi-below-floor": lambda tmp_path, graph: [
-        "sweep-edges", "--family", "neg-dense", "--n", "10", "--m", "20",
-        "--fractions", "0.5", "--weight-lo", "0", "--weight-hi", "0"],
-    "sweep-edges-flag-the-family-does-not-read": lambda tmp_path, graph: [
-        "sweep-edges", "--family", "sparse-random", "--n", "10", "--m",
-        "20", "--neg-fraction", "0.5", "--fractions", "0.5"],
-    "sweep-edges-graph-file-with-generator-flag": lambda tmp_path, graph: [
-        "sweep-edges", graph, "--n", "10", "--fractions", "0.5"],
-    "sweep-edges-bad-fraction-list": lambda tmp_path, graph: [
-        "sweep-edges", graph, "--fractions", "abc"],
-    "sweep-edges-no-graph-no-family": lambda tmp_path, graph: [
-        "sweep-edges", "--fractions", "0.5"],
-    "sweep-edges-weight-lo-above-weight-hi": lambda tmp_path, graph: [
-        "sweep-edges", graph, "--fractions", "0.5", "--weight-lo", "5",
-        "--weight-hi", "1"],
-    "sweep-edges-negative-additions-to-plain-graph": lambda tmp_path, graph: [
-        "sweep-edges", graph, "--fractions", "0.5", "--weight-lo", "-1"],
     "run-graph-negative-header": lambda tmp_path, graph: [
         "run", _file_arg(tmp_path, "h.txt", "-1 0\n"), "--algo", "bf"],
     "run-graph-only-a-comment": lambda tmp_path, graph: [

@@ -3,11 +3,10 @@ import math
 import pytest
 
 from jfrbench.baselines import bellman_ford, spfa_slf
-from jfrbench.errors import PotentialUnavailable, SpecInvalid
-from jfrbench.generators import (FAMILIES, add_edges, family_params,
-                                 gen_neg_dense, gen_slf_killer,
-                                 gen_sparse_random, gen_windmill, generate,
-                                 plant_negative_cycle)
+from jfrbench.errors import SpecInvalid
+from jfrbench.generators import (FAMILIES, family_params, gen_neg_dense,
+                                 gen_slf_killer, gen_sparse_random,
+                                 gen_windmill, generate, plant_negative_cycle)
 from jfrbench.graph import write_text
 from jfrbench.jfr import jfr_pq
 
@@ -36,7 +35,6 @@ def test_sparse_random_shape_and_range():
     g = gen_sparse_random(120, 600, 9, weight_lo=1.0, weight_hi=3.0)
     assert g.n == 120 and g.m == 600
     assert all(1.0 <= w <= 3.0 for w in g.weights)
-    assert g.potentials is None
 
 
 def test_determinism_byte_identity():
@@ -64,11 +62,6 @@ def test_neg_dense_has_no_negative_cycle_anywhere():
         g = gen_neg_dense(30, 240, seed, neg_fraction=0.6)
         for s in range(g.n):
             assert not bellman_ford(g, s).neg_cycle, (seed, s)
-
-
-def test_neg_dense_carries_potentials():
-    g = gen_neg_dense(40, 200, 1, neg_fraction=0.3)
-    assert g.potentials is not None and len(g.potentials) == 40
 
 
 def test_windmill_shape():
@@ -122,21 +115,18 @@ def test_slf_killer_suppression_at_moderate_size():
     assert spfa_slf(g, 0).dist == jfr_pq(g, 0).dist
 
 
-def test_add_edges_count_and_prefix():
-    g = gen_neg_dense(30, 200, 3, neg_fraction=0.5)
-    g2 = add_edges(g, 0.25, 0.0, 10.0, seed=99)
-    assert g2.m == 250
-    assert g2.potentials is g.potentials
-    for u in range(g.n):
-        old = g.out_edges(u)
-        assert g2.out_edges(u)[:len(old)] == old
-
-
-def test_add_edges_keeps_neg_dense_cycle_free():
-    g = gen_neg_dense(25, 150, 5, neg_fraction=0.7)
-    g2 = add_edges(g, 1.0, 0.0, 10.0, seed=6)
-    for s in range(g2.n):
-        assert not bellman_ford(g2, s).neg_cycle
+def test_more_edges_extend_the_same_graph():
+    # the edge-increment property: at a fixed seed, raising m appends
+    # edges, so each vertex's out-edges at m1 begin its out-edges at m2
+    for family, params in (("sparse-random", {}), ("neg-dense", {}),
+                           ("neg-dense", {"neg_fraction": 0.0})):
+        for seed in (1, 2, 3):
+            g1 = generate(family, seed, n=60, m=300, **params)
+            g2 = generate(family, seed, n=60, m=345, **params)
+            assert g2.m == 345
+            for u in range(g1.n):
+                old = g1.out_edges(u)
+                assert g2.out_edges(u)[:len(old)] == old, (family, seed, u)
 
 
 def test_base_weights_below_the_floor_are_errors():
@@ -147,42 +137,6 @@ def test_base_weights_below_the_floor_are_errors():
         gen_neg_dense(10, 20, 1, weight_lo=floor, neg_fraction=0.0)
     with pytest.raises(SpecInvalid):
         gen_neg_dense(10, 20, 1, weight_lo=1e-4, neg_fraction=0.0)
-    g = gen_neg_dense(10, 20, 1)
-    for lo, hi in ((1e-4, 1.0), (-1.0, 1.0), (0.0, 0.0), (0.0, 1e-4)):
-        with pytest.raises(SpecInvalid):
-            add_edges(g, 0.5, lo, hi, seed=2)
-    assert add_edges(g, 0.5, 0.0, floor, seed=2) == \
-        add_edges(g, 0.5, floor, floor, seed=2)
-
-
-def test_add_edges_single_edge_graph():
-    from jfrbench.graph import EdgeListDoc, from_edge_list
-    g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0)]))
-    g2 = add_edges(g, 1.0, 0.0, 2.0, seed=1)
-    assert g2.m == 2
-
-
-def test_add_edges_validation():
-    g = gen_sparse_random(20, 50, 1)
-    with pytest.raises(SpecInvalid):
-        add_edges(g, 0.0, 0.0, 1.0, seed=1)
-    with pytest.raises(SpecInvalid):
-        add_edges(g, 1.5, 0.0, 1.0, seed=1)
-    with pytest.raises(SpecInvalid):
-        add_edges(g, 0.001, 0.0, 1.0, seed=1)  # fraction * m < 1
-
-
-def test_add_edges_negative_graph_without_potentials():
-    k = gen_slf_killer(20, seed=2)  # has negative edges, no potentials
-    with pytest.raises(PotentialUnavailable):
-        add_edges(k, 0.5, 0.0, 1.0, seed=3)
-
-
-def test_add_edges_plain_nonnegative_graph():
-    g = gen_sparse_random(20, 50, 1)
-    g2 = add_edges(g, 0.2, 1.0, 2.0, seed=4)
-    assert g2.m == 60
-    assert all(w >= 0 for w in g2.weights)
 
 
 def test_plant_negative_cycle_reachable_and_negative():

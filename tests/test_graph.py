@@ -100,11 +100,9 @@ def test_out_edges_bounds():
         g.out_degree(-1)
 
 
-def test_graph_equality_ignores_potentials():
+def test_graph_equality_compares_the_csr_arrays():
     a = from_edge_list(triangle_doc())
-    b = from_edge_list(triangle_doc())
-    b.potentials = [0.0, 1.0, 2.0]
-    assert a == b
+    assert a == from_edge_list(triangle_doc())
     c = from_edge_list(EdgeListDoc(3, [(0, 1, 2.0), (1, 2, -1.0),
                                        (0, 2, 5.5)]))
     assert a != c
