@@ -2,11 +2,11 @@
 baselines, adversarial graph generators, and benchmark tooling."""
 
 from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
-from .errors import (BrokenParentChain, HeaderMismatch, IndexOutOfRange,
-                     JfrError, MissingEdge, ModeMismatch, NegativeSelfLoop,
-                     NegativeWeightPresent, NegCycleResult, NoCycleRecorded,
-                     NonFiniteWeight, ParseError, SpecInvalid,
-                     UnknownAlgorithm, Unreachable, ZeroOps)
+from .errors import (BrokenParentChain, GraphTooLarge, HeaderMismatch,
+                     IndexOutOfRange, JfrError, MissingEdge, ModeMismatch,
+                     NegativeSelfLoop, NegativeWeightPresent, NegCycleResult,
+                     NoCycleRecorded, NonFiniteWeight, ParseError,
+                     SpecInvalid, UnknownAlgorithm, Unreachable, ZeroOps)
 from .generators import (FAMILIES, family_params, gen_neg_dense,
                          gen_pq_killer, gen_slf_killer, gen_sparse_random,
                          gen_windmill, generate, plant_negative_cycle)
@@ -23,16 +23,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "BrokenParentChain", "Comparison", "EdgeListDoc",
-    "FAMILIES", "Graph", "HeaderMismatch", "IndexOutOfRange", "JfrError",
-    "LmhWorkspace", "MissingEdge", "ModeMismatch", "NegCycleResult",
-    "NegativeSelfLoop", "NegativeWeightPresent", "NoCycleRecorded",
-    "NonFiniteWeight", "ParseError", "RunStats", "SpecInvalid", "SsspResult",
-    "UnknownAlgorithm", "Unreachable", "VerifyReport", "ZeroOps",
-    "bellman_ford", "bound_check", "certify", "check_optimality_conditions",
-    "compare", "cycle_weight", "detect_negative_cycle", "dijkstra_oracle",
-    "family_params", "from_edge_list", "gen_neg_dense", "gen_pq_killer",
-    "gen_slf_killer", "gen_sparse_random", "gen_windmill", "generate",
-    "jfr_pq", "jfr_strict", "lmh_propagate", "oracle_compare",
-    "oracle_verdict", "plant_negative_cycle", "read_file", "read_text",
-    "reconstruct_path", "spfa_fifo", "spfa_slf", "write_file", "write_text",
+    "FAMILIES", "Graph", "GraphTooLarge", "HeaderMismatch", "IndexOutOfRange",
+    "JfrError", "LmhWorkspace", "MissingEdge", "ModeMismatch",
+    "NegCycleResult", "NegativeSelfLoop", "NegativeWeightPresent",
+    "NoCycleRecorded", "NonFiniteWeight", "ParseError", "RunStats",
+    "SpecInvalid", "SsspResult", "UnknownAlgorithm", "Unreachable",
+    "VerifyReport", "ZeroOps", "bellman_ford", "bound_check", "certify",
+    "check_optimality_conditions", "compare", "cycle_weight",
+    "detect_negative_cycle", "dijkstra_oracle", "family_params",
+    "from_edge_list", "gen_neg_dense", "gen_pq_killer", "gen_slf_killer",
+    "gen_sparse_random", "gen_windmill", "generate", "jfr_pq", "jfr_strict",
+    "lmh_propagate", "oracle_compare", "oracle_verdict",
+    "plant_negative_cycle", "read_file", "read_text", "reconstruct_path",
+    "spfa_fifo", "spfa_slf", "write_file", "write_text",
 ]

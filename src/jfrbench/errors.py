@@ -19,6 +19,10 @@ class NegativeSelfLoop(JfrError):
     """A self-loop with negative weight (a trivial negative cycle)."""
 
 
+class GraphTooLarge(JfrError):
+    """The vertex count is too large to allocate the CSR offsets."""
+
+
 # --- edge-list text format ---
 
 class ParseError(JfrError):

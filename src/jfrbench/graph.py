@@ -9,13 +9,22 @@ were supplied.  Parallel edges and non-negative self-loops are allowed.
 
 The text format is line-oriented ASCII: a header ``n m``, then one ``tail
 head weight`` line per edge (0-based endpoints, LF line endings).  Lines
-starting with ``#`` are comments and do not count toward ``m``.
+starting with ``#`` are comments and do not count toward ``m``.  Canonical
+text is exactly what ``write_text`` writes: ``n m\n``, then ``t h w\n``
+lines with single spaces, ASCII digits and tails in CSR order.
+``read_file`` reads it straight into CSR arrays; it reads any other text
+through ``read_text`` and ``from_edge_list``, which raise every error.
 """
 
 import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import eq, le
 
 from .errors import (
+    GraphTooLarge,
     HeaderMismatch,
     IndexOutOfRange,
     NegativeSelfLoop,
@@ -92,7 +101,10 @@ def from_edge_list(doc: EdgeListDoc) -> Graph:
     self-loops (a one-edge negative cycle).
     """
     n = doc.n
-    counts = [0] * (n + 1)
+    try:
+        counts = [0] * (n + 1)
+    except (MemoryError, OverflowError):
+        raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
     for tail, head, weight in doc.edges:
         if not (0 <= tail < n and 0 <= head < n):
             raise IndexOutOfRange(f"edge ({tail}, {head}) outside [0, {n})")
@@ -132,13 +144,10 @@ def write_text(doc: EdgeListDoc) -> bytes:
 def read_text(data: "bytes | str") -> EdgeListDoc:
     """Parse edge-list text.  Raises ParseError with the offending line
     number, or HeaderMismatch when the declared edge count is wrong."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError("non-ASCII input", 1) from exc
-    else:
-        text = data
+    # latin-1 maps each byte to one character, so the check covers both
+    text = data.decode("latin-1") if isinstance(data, bytes) else data
+    if not text.isascii():
+        raise ParseError("non-ASCII input", 1)
     header = None
     edges = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -148,6 +157,8 @@ def read_text(data: "bytes | str") -> EdgeListDoc:
             continue
         if line.startswith("#"):
             continue
+        if "_" in line:  # int() and float() read "1_0" as 10
+            raise ParseError(f"digit separator '_' in {raw!r}", line_no)
         fields = line.split()
         if header is None:
             if len(fields) != 2:
@@ -175,9 +186,50 @@ def read_text(data: "bytes | str") -> EdgeListDoc:
     return EdgeListDoc(n, edges)
 
 
+_CANONICAL_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")
+# matched and split a slice at a time, so sre's backtracking stack and the
+# tokens stay small (a possessive *+ bounds the stack too, but needs 3.11)
+_CANONICAL_LINES = re.compile(rb"(?:[0-9]+ [0-9]+ [-+.e0-9]+\n)*")
+_SLICE_BYTES = 1 << 14
+
+
+def _read_canonical(data: bytes) -> "Graph | None":
+    """The graph of canonical text, read with no loop per line or edge, or
+    None for any text or check that ``read_text`` should judge."""
+    header = _CANONICAL_HEADER.match(data)
+    if header is None:
+        return None
+    tails, heads, weights = [], [], []
+    start = header.end()
+    try:
+        n, m = int(header[1]), int(header[2])
+        while start < len(data):
+            # newline-aligned slices; the last one runs to the end
+            end = data.find(b"\n", start + _SLICE_BYTES) + 1 or len(data)
+            if _CANONICAL_LINES.fullmatch(data, start, end) is None:
+                return None
+            tokens = data[start:end].split()
+            tails += map(int, islice(tokens, 0, None, 3))
+            heads += map(int, islice(tokens, 1, None, 3))
+            weights += map(float, islice(tokens, 2, None, 3))
+            start = end
+        offsets = [0] * (n + 1)  # a huge n fails here, before any loop
+    except (ValueError, MemoryError, OverflowError):
+        return None
+    if len(tails) != m or m and (
+            tails[-1] >= n or max(heads) >= n
+            or not all(map(le, tails, islice(tails, 1, None)))
+            or not all(map(math.isfinite, weights))
+            or min(compress(weights, map(eq, tails, heads)), default=0) < 0):
+        return None
+    offsets[1:] = map(bisect_right, repeat(tails), range(n))
+    return Graph(n, offsets, heads, weights)
+
+
 def read_file(path) -> Graph:
     with open(path, "rb") as fh:
-        return from_edge_list(read_text(fh.read()))
+        data = fh.read()
+    return _read_canonical(data) or from_edge_list(read_text(data))
 
 
 def write_file(path, g: Graph) -> None:

@@ -327,6 +327,15 @@ def _verify_with(body):
         "verify", graph, _file_arg(tmp_path, "r.json", text)]
 
 
+def _with_huge_header(cmd, n):
+    def make_argv(tmp_path, graph):
+        graph = _file_arg(tmp_path, "huge.txt", f"{n} 0\n")
+        if cmd == "run":
+            return ["run", graph, "--algo", "bf"]
+        return _verify_with(GOOD_RESULT)(tmp_path, graph)
+    return make_argv
+
+
 MALFORMED = {
     "run-repetitions-0": lambda tmp_path, graph: [
         "run", graph, "--algo", "bf", "--repetitions", "0"],
@@ -386,6 +395,9 @@ MALFORMED = {
         "run", _file_arg(tmp_path, "h.txt", "-1 0\n"), "--algo", "bf"],
     "run-graph-only-a-comment": lambda tmp_path, graph: [
         "run", _file_arg(tmp_path, "c.txt", "# no header\n"), "--algo", "bf"],
+    # n + 1 offsets past the index range, and past the address space
+    **{f"{cmd}-graph-n-{n}": _with_huge_header(cmd, n)
+       for cmd in ("run", "verify") for n in (10 ** 19, 10 ** 15)},
     "run-graph-missing": lambda tmp_path, graph: [
         "run", str(tmp_path / "missing.txt"), "--algo", "bf"],
     "run-out-unwritable": lambda tmp_path, graph: [

@@ -1,12 +1,21 @@
 import math
+import os
+import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jfrbench.errors import (HeaderMismatch, IndexOutOfRange, NegativeSelfLoop,
-                             NonFiniteWeight, ParseError)
-from jfrbench.graph import (EdgeListDoc, from_edge_list, read_text, write_text)
+import jfrbench
+from jfrbench import graph
+from jfrbench.errors import (HeaderMismatch, IndexOutOfRange, JfrError,
+                             NegativeSelfLoop, NonFiniteWeight, ParseError)
+from jfrbench.generators import generate
+from jfrbench.graph import (EdgeListDoc, from_edge_list, read_file, read_text,
+                            write_file, write_text)
 
 
 def triangle_doc():
@@ -62,6 +71,22 @@ def test_read_text_header_mismatch():
 def test_read_text_rejects_non_ascii():
     with pytest.raises(ParseError):
         read_text("2 1\n0 1 1.0 \xe9\n".encode("utf-8"))
+
+
+def test_read_text_rejects_non_ascii_str():
+    # a full-width and an Arabic-Indic digit, which int() and float() read
+    for text in ("2 1\n0 1 \uff11.5\n", "2 1\n0 \u0661 1.5\n"):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            read_text(text)
+
+
+def test_read_text_rejects_digit_separators():
+    for text, line in (("11 1\n0 1_0 2.5\n", 2), ("2 1\n0 1 1_0.5\n", 2),
+                       ("1_1 1\n0 1 1.0\n", 1)):
+        with pytest.raises(ParseError, match=f"line {line}: .*'_'"):
+            read_text(text)
+    # a comment may hold one
+    assert read_text("# my_graph\n2 1\n0 1 1.5\n").m == 1
 
 
 def test_csr_layout_and_order():
@@ -134,3 +159,143 @@ def edge_docs(draw):
 def test_text_round_trip_property(doc):
     assert read_text(write_text(doc)) == doc
     assert write_text(read_text(write_text(doc))) == write_text(doc)
+
+
+def _set_token(lines, rnd, column, value):
+    """Rewrite one token of one edge line, if there is an edge line."""
+    for i in rnd.sample(range(1, len(lines)), min(1, len(lines) - 1)):
+        tokens = lines[i].split(" ")
+        tokens[column] = value(tokens[column])
+        lines[i] = " ".join(tokens)
+
+
+def _add_to_m(lines, delta):
+    n, m = lines[0].split(" ")
+    lines[0] = f"{n} {int(m) + delta}"
+
+
+def _negative_self_loop(lines, rnd):
+    last = int(lines[0].split(" ")[0]) - 1  # keeps the tails in order
+    lines.append(f"{last} {last} -0.5")
+    _add_to_m(lines, 1)
+
+
+def _replace_space(lines, rnd, by):
+    i = rnd.randrange(len(lines))
+    lines[i] = lines[i].replace(" ", by, 1)
+
+
+WEIGHTS = ["1e999", "inf", "nan", "-inf", "+3", "-0.0", "1e-05", "0003.5",
+           "1e", "."]
+# token and header edits first, then the layout edits that would hide
+# the tokens from them
+PERTURBATIONS = {
+    "m-off-by-one": lambda lines, rnd: _add_to_m(lines, rnd.choice((-1, 1))),
+    "negative-self-loop": _negative_self_loop,
+    "weight": lambda lines, rnd: _set_token(
+        lines, rnd, 2, lambda w: rnd.choice(WEIGHTS)),
+    "endpoint-n": lambda lines, rnd: _set_token(
+        lines, rnd, rnd.randrange(2), lambda v: lines[0].split(" ")[0]),
+    "leading-zeros": lambda lines, rnd: _set_token(
+        lines, rnd, rnd.randrange(3), lambda t: "00" + t),
+    "tails-out-of-order": lambda lines, rnd: lines.__setitem__(
+        slice(1, None), lines[:0:-1]),
+    "tab": lambda lines, rnd: _replace_space(lines, rnd, "\t"),
+    "double-space": lambda lines, rnd: _replace_space(lines, rnd, "  "),
+    "comment": lambda lines, rnd: lines.insert(
+        rnd.randint(0, len(lines)), "# comment"),
+    "blank-line": lambda lines, rnd: lines.insert(
+        rnd.randint(1, len(lines)), ""),
+    "crlf": lambda lines, rnd: lines.__setitem__(
+        slice(None), [line + "\r" for line in lines]),
+}
+
+
+@st.composite
+def graph_texts(draw):
+    """``write_text`` output of a CSR-order doc, perturbed or not."""
+    doc = from_edge_list(draw(edge_docs())).to_edge_list()
+    lines = write_text(doc).decode("ascii").splitlines()
+    rnd = draw(st.randoms(use_true_random=False))
+    chosen = draw(st.sets(st.sampled_from(list(PERTURBATIONS)), max_size=3))
+    for name, perturb in PERTURBATIONS.items():
+        if name in chosen:
+            perturb(lines, rnd)
+    final_newline = draw(st.booleans()) or draw(st.booleans())
+    return ("\n".join(lines) + "\n" * final_newline).encode("ascii")
+
+
+def _outcome(read, arg):
+    try:
+        g = read(arg)
+    except JfrError as exc:
+        return type(exc), str(exc)
+    return g.n, g.offsets, g.targets, [repr(w) for w in g.weights]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph_texts())
+@example(data=b"3 1\n0 3 1.0\n")  # an endpoint equal to n
+@example(data=b"3 1\n3 0 1.0\n")
+@example(data=b"2 1\n0 1 1e999\n")  # a weight past the float range
+@example(data=b"2 2\n1 1 -0.0\n1 1 -1e-05\n")  # a negative self-loop
+@example(data=b"3 2\n1 0 1.0\n0 1 1.0\n")  # tails out of order
+@example(data=b"2 2\n0 1 1.0\n")  # m off by one
+@example(data=b"1000000000000000 0\n")  # n + 1 offsets past memory
+@example(data=b"10000000000000000000 0\n")  # past the index range
+def test_read_file_agrees_with_the_line_loop(tmp_path, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert _outcome(read_file, path) == _outcome(
+        lambda d: from_edge_list(read_text(d)), data)
+
+
+def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
+    g = generate("neg-dense", 5, n=1000, m=5000, neg_fraction=0.3)
+    path = tmp_path / "g.txt"
+    write_file(path, g)
+    assert path.stat().st_size > 3 * graph._SLICE_BYTES  # several slices
+
+    def line_loop(data):
+        raise AssertionError("canonical text went through read_text")
+    monkeypatch.setattr(graph, "read_text", line_loop)
+    got = read_file(path)
+    assert got == g and list(map(repr, got.weights)) == \
+        list(map(repr, g.weights))
+
+
+def _declared_python_floor():
+    """``requires-python``'s lowest version and a working interpreter of it:
+    the one on PATH, else a pyenv install of it."""
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
+                      pyproject.read_text())[1]
+    found = [shutil.which(f"python{floor}")]
+    if shutil.which("pyenv"):
+        root = Path(subprocess.run(["pyenv", "root"], capture_output=True,
+                                   text=True).stdout.strip())
+        found += sorted(root.glob(f"versions/{floor}*/bin/python{floor}"))
+    for exe in filter(None, found):
+        probe = subprocess.run([exe, "-c", ""], capture_output=True)
+        if probe.returncode == 0:
+            return floor, str(exe)
+    pytest.skip(f"no working python{floor}")
+
+
+def test_package_runs_on_the_declared_python_floor(tmp_path):
+    floor, python = _declared_python_floor()
+    snippet = (
+        "import sys; from jfrbench import generate, jfr_pq, bellman_ford\n"
+        "from jfrbench.graph import read_file, write_file\n"
+        "g = generate('neg-dense', 3, n=200, m=1000, neg_fraction=0.3)\n"
+        "write_file(sys.argv[1], g)\n"
+        "h = read_file(sys.argv[1])\n"
+        "assert h == g and jfr_pq(h, 0).dist == bellman_ford(g, 0).dist\n"
+        "print(sys.version_info[:2])\n")
+    src = str(Path(jfrbench.__file__).parents[1])
+    done = subprocess.run([python, "-c", snippet, str(tmp_path / "g.txt")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{tuple(map(int, floor.split('.')))}\n"
