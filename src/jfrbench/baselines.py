@@ -3,12 +3,13 @@
 All solvers share the relaxation convention: strict ``<`` with no epsilon,
 first writer wins on ties, distances start at ``inf`` except the source.
 Negative-cycle handling differs by family: Bellman-Ford flags an n-th pass
-that still improves.  The queue-based solvers walk the popped vertex's
-parent chain each time their inspection count has doubled (first at n)
-and flag a chain that ends in a cycle: every parent cycle of a
-label-correcting run is negative, and a label below the lightest simple
-path to its vertex has a chain that cannot reach the source (Cherkassky
-and Goldberg, "Negative-cycle detection algorithms", 1999).
+that still improves, or sooner a parent cycle proving that one would.  The
+queue-based solvers walk the popped vertex's parent chain each time their
+inspection count has doubled (first at n) and flag a chain that ends in a
+cycle: every parent cycle of a label-correcting run is negative, and a
+label below the lightest simple path to its vertex has a chain that cannot
+reach the source (Cherkassky and Goldberg, "Negative-cycle detection
+algorithms", 1999).
 """
 
 import heapq
@@ -18,26 +19,28 @@ from collections import deque
 
 from .errors import NegativeWeightPresent
 from .graph import Graph
-from .paths import on_parent_cycle
+from .paths import certified_cycles, on_parent_cycle, peel_cycle
 from .results import SsspResult, start_run
 
 INF = math.inf
 
 
 def bellman_ford(g: Graph, source: int) -> SsspResult:
-    """Reference solver: full edge passes in CSR order with early exit."""
+    """Reference solver: edge passes in CSR order until one improves
+    nothing, or the n-th improves and flags.  A parent cycle that ends the
+    last improved vertex's chain (so the source reaches it) and that
+    :func:`certified_cycles` certifies flags sooner: it proves the n-th
+    pass would improve, so the verdict is the n-pass rule's."""
     dist, parent, stats = start_run(g, source, "bf")
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
     activations, improvements = stats.activations, stats.improvements
     inspections = 0
-    neg_cycle = False
     witness = None
     passes = 0
     t0 = time.perf_counter_ns()
-    for pass_no in range(n):
-        improved_any = False
-        last_pass = pass_no == n - 1
+    for _ in range(n):
+        last = None  # the pass's last improved vertex
         for u in range(n):
             du = dist[u]
             if du == INF:
@@ -52,17 +55,21 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
                     dist[v] = cand
                     parent[v] = u
                     improvements[v] += 1
-                    improved_any = True
-                    if last_pass:
-                        neg_cycle = True
-                        witness = v
+                    last = v
         passes += 1
-        if not improved_any or neg_cycle:
+        if last is None:
             break
+        x = on_parent_cycle(parent, last)
+        if x is not None and any(certified_cycles(
+                g, [peel_cycle(parent, x)])):
+            witness = x
+            break
+    else:  # the n-th pass still improved
+        witness = last
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.edge_inspections = inspections
     stats.outer_iterations = passes
-    return SsspResult(dist, parent, neg_cycle, stats, cycle_witness=witness)
+    return SsspResult(dist, parent, witness is not None, stats, witness)
 
 
 def _spfa(g: Graph, source: int, slf: bool) -> SsspResult:

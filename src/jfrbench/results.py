@@ -72,8 +72,9 @@ class SsspResult:
     parent: list["int | None"]
     neg_cycle: bool
     stats: RunStats
-    # a vertex on a parent cycle, or one improved in an n-th round
-    # (bellman_ford, jfr_strict) whose parent chain leads into one
+    # a vertex on a parent cycle, or one improved in an n-th pass or round
+    # (bellman_ford, jfr_strict) whose parent chain leads into one;
+    # bellman_ford's early exit gives a vertex on its certified cycle
     cycle_witness: "int | None" = None
 
 

@@ -12,13 +12,12 @@ edges plus a tree of tight parent edges rooted at the source) is the
 authority for results imported from outside the package.
 """
 
-import sys
 from dataclasses import dataclass
 
 from .baselines import bellman_ford
-from .errors import MissingEdge, NegCycleResult
+from .errors import NegCycleResult
 from .graph import Graph
-from .paths import cycle_weight, parent_cycles
+from .paths import certified_cycles, parent_cycles
 from .results import SsspResult, check_source
 
 _INF = float("inf")
@@ -147,34 +146,15 @@ def _reachable(g: Graph, s: int) -> list:
 
 def _flag_certified(g: Graph, s: int, parent: list) -> bool:
     """Whether ``parent`` holds a cycle that proves Bellman-Ford flags a
-    negative cycle from ``s``: its edges exist, ``s`` reaches it, and its
-    weight is negative beyond float rounding.
-
-    Bellman-Ford's labels are float sums along walks of at most n*m edges,
-    so |label| <= 2*n*m*wmax.  Were one of its n passes a fixed point, each
-    of the cycle's k edges would give d[v] <= fl(d[u] + w), which rounds
-    by at most u*(|label| + wmax) with u = eps/2; summed around the cycle,
-    and with the rounding of the cycle's own float sum, that needs a
-    weight of at least -k*eps*wmax*n*(m + 2).  A lighter cycle leaves no
-    pass without an improvement, so the n-th pass improves and flags.
+    negative cycle from ``s``: one that :func:`certified_cycles` certifies
+    and that ``s`` reaches.  Bellman-Ford returns the n-pass rule's
+    verdict, early exit or not, so the proof covers the oracle itself.
     """
-    cycles = parent_cycles(parent)
-    if not cycles:
-        return False
-    scale = g.n * (g.m + 2) * max(map(abs, g.weights), default=0.0)
-    if not scale < 1e300:  # labels could overflow to -inf and settle
-        return False
     reach = None
-    for cycle in cycles:
-        try:
-            weight = cycle_weight(g, cycle)
-        except MissingEdge:  # a parent edge the graph does not have
-            continue
-        if weight < -len(cycle) * scale * sys.float_info.epsilon:
-            if reach is None:
-                reach = _reachable(g, s)
-            if reach[cycle[0]]:
-                return True
+    for cycle in certified_cycles(g, parent_cycles(parent)):
+        reach = reach or _reachable(g, s)
+        if reach[cycle[0]]:
+            return True
     return False
 
 

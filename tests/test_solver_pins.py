@@ -39,7 +39,7 @@ GRAPHS = [
 
 # md5 over GRAPHS of each solver's outputs and counters, from source 0
 PINNED = {
-    "bellman_ford": (bellman_ford, "6646034ac0eb09e81f85e07aedcc27b2"),
+    "bellman_ford": (bellman_ford, "185158b28380f0444882f6a8b58176a7"),
     "spfa_fifo": (spfa_fifo, "7a11e5c8b0c5134cb39930c48c19651a"),
     "spfa_slf": (spfa_slf, "3da60d4ca0d772a53de8e5599910e2cb"),
     "dijkstra_oracle": (dijkstra_oracle,

@@ -5,7 +5,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import potential_graph, rule_before_certify, triangle
@@ -18,7 +18,8 @@ from jfrbench.generators import (gen_slf_killer, generate,
                                  plant_negative_cycle)
 from jfrbench.graph import EdgeListDoc, from_edge_list, write_file
 from jfrbench.jfr import jfr_pq, jfr_strict
-from jfrbench.paths import cycle_weight, detect_negative_cycle
+from jfrbench.paths import (certified_cycles, cycle_weight,
+                            detect_negative_cycle)
 from jfrbench.results import RunStats, SsspResult
 from jfrbench.verify import (certify, check_optimality_conditions,
                              oracle_compare, oracle_verdict)
@@ -225,13 +226,16 @@ def test_certify_vouches_for_every_solver_without_resolving(resolves):
     assert resolves == []
 
 
+HALVES = st.integers(-8, 12).map(lambda w: w / 2)  # every sum is exact
+DECIMALS = st.integers(-4_000_000, 6_000_000).map(lambda w: w / 1e6)
+
+
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, weights=HALVES):
     """Small graphs with parallel edges and negative weights, but no
-    negative self-loop; weights are halves, so every sum is exact."""
+    negative self-loop."""
     n = draw(st.integers(1, 8))
-    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                     st.integers(-8, 12).map(lambda w: w / 2))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights)
     edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1] or e[2] >= 0),
                           max_size=4 * n))
     return from_edge_list(EdgeListDoc(n, edges))
@@ -252,6 +256,65 @@ def test_every_solver_flags_exactly_when_bellman_ford_does(resolves, g):
         else:
             assert r.dist == want.dist, solve
     assert resolves == []
+
+
+def n_pass_rule(g, s):
+    """Plain Bellman-Ford: passes in CSR order until one improves nothing,
+    flagging when all n passes improve.  Returns the flag, labels, parents
+    and inspections."""
+    dist, parent = [math.inf] * g.n, [None] * g.n
+    dist[s] = 0.0
+    inspections = 0
+    for _ in range(g.n):
+        improved = False
+        for u in range(g.n):
+            du = dist[u]
+            if du == math.inf:
+                continue
+            for e in range(g.offsets[u], g.offsets[u + 1]):
+                inspections += 1
+                v = g.targets[e]
+                if du + g.weights[e] < dist[v]:
+                    dist[v], parent[v] = du + g.weights[e], u
+                    improved = True
+        if not improved:
+            return False, dist, parent, inspections
+    return True, dist, parent, inspections
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=st.one_of(multigraphs(), multigraphs(DECIMALS)))
+# rounding lowers d[2] by one ulp around the zero-weight cycle 1 <-> 2,
+# which leaves a parent cycle that the n-pass rule does not flag
+@example(g=from_edge_list(EdgeListDoc(3, [(0, 2, 4.713503), (2, 1, 1.4),
+                                          (1, 2, -1.4)])))
+def test_bellman_ford_returns_the_n_pass_verdict(g):
+    flag, dist, parent, inspections = n_pass_rule(g, 0)
+    r = bellman_ford(g, 0)
+    assert r.neg_cycle == flag
+    if not flag:
+        assert (r.dist, r.parent, r.stats.edge_inspections) \
+            == (dist, parent, inspections)
+    elif r.stats.outer_iterations < g.n:  # left before the n-th pass
+        cycle = detect_negative_cycle(r, g)
+        assert list(certified_cycles(g, [cycle])) == [cycle]
+
+
+def test_certified_cycles_needs_a_weight_beyond_rounding():
+    def certified(edges, cycle):
+        g = from_edge_list(EdgeListDoc(3, edges))
+        return list(certified_cycles(g, [cycle])) == [cycle]
+
+    assert certified([(0, 1, 1.0), (1, 2, -1.0), (2, 1, 0.5)], [1, 2])
+    # -1e-12 in all is inside the rounding of labels near 1e6
+    assert not certified([(0, 1, 1e6), (1, 2, 0.1), (2, 1, -0.1 - 1e-12)],
+                         [1, 2])
+    # n*(m+2)*max|w| past 1e300, or overflowing to inf: labels could
+    # overflow to -inf and settle
+    assert not certified([(0, 1, 1.0), (1, 2, -1e299), (2, 1, 5e298)],
+                         [1, 2])
+    assert not certified([(0, 1, 1e308), (1, 2, -1.0), (2, 1, 0.5)], [1, 2])
+    assert not certified([(0, 1, 1.0), (1, 2, -1.0)], [1, 2])  # no 2->1
 
 
 def mutants(g, r, rng):
