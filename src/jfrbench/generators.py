@@ -43,10 +43,9 @@ Families
     detour through ``detour`` fresh vertices that is dearer at first but
     saves ``2^(j-1)`` at level j.  The queue reaches a detour only after
     the whole cascade below has run at the worse label, so the cascade
-    runs again and the scans double per level.  A depth-k propagation
-    repairs the detours within its reach, so ``jfr_pq`` at ``k <= detour``
-    is exponential in ``levels``, while FIFO order, SLF and ``jfr_strict``
-    stay far below ``n * m`` inspections.
+    runs again and the scans double per level, even when each pop also
+    runs a depth-``k`` propagation with ``k <= detour``.  ``jfr_pq``'s
+    passes, FIFO order, SLF and ``jfr_strict`` stay far below ``n * m``.
 
 ``FAMILIES`` maps each name to its generator, whose signature is the one
 list of the family's parameters with their types and defaults; ``generate``,

@@ -7,13 +7,16 @@ the next frontier; at ``k = 1`` it is frontier-restricted Bellman-Ford.
 
 ``jfr_pq`` is event-driven: a lazy-deletion priority queue keyed by
 tentative distance selects the next active vertex, runs one depth-``k``
-local propagation from it, and queues the vertices it improved.  Both
-modes scan once: neither promotes nor queues a vertex that a propagation
-wave already scanned at its new label (``LmhWorkspace.scanned``), since
-re-scanning at an unchanged label cannot improve anything.  Lazy-deletion
-stale pops and scan-once together subsume the paper's frontier filter: a
-vertex whose label has settled is never scanned again, so no periodic
-sweep for idle vertices is needed.
+local propagation from it, and queues the vertices it improved, save
+sinks, whose scan relaxes nothing.  It runs in Bellman-Ford passes
+(Goldberg and Radzik 1993), so a feasible graph needs about n passes at
+most, where plain lazy deletion can pop exponentially often on negative
+weights (Johnson 1973).  Both modes scan once: neither promotes nor
+queues a vertex that a propagation wave already scanned at its new label
+(``LmhWorkspace.scanned``), since re-scanning at an unchanged label
+cannot improve anything.  Lazy-deletion stale pops and scan-once together
+subsume the paper's frontier filter: a vertex whose label has settled is
+never scanned again, so no periodic sweep for idle vertices is needed.
 
 Both modes start from :func:`jfrbench.results.start_run` and propagate
 through :func:`lmh_propagate` over one :class:`LmhWorkspace` per solve,
@@ -46,8 +49,9 @@ class LmhWorkspace:
     ``first + k - 1``: ``window[v] == first`` marks v as scanned by the
     call, and ``mark[v] == first + r`` marks v as improved by wave ``r``
     (hence queued for wave ``r + 1``); ``mark[v] >= first`` means v
-    improved somewhere in the call.  ``scanned[v]`` is the label at which
-    a call last relaxed v's out-edges (NaN: never).  Only calls write it;
+    improved somewhere in the call; ``window[v] > c`` means a call begun
+    after ``clock == c`` scanned v.  ``scanned[v]`` is the label at which a
+    call last relaxed v's out-edges (NaN: never).  Only calls write it;
     ``jfr_strict``'s promotion and ``jfr_pq``'s queueing read it.
     """
 
@@ -193,19 +197,27 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
 
 
 def jfr_pq(g: Graph, source: int, k: int = DEFAULT_K) -> SsspResult:
-    """Event-driven jump-frontier relaxation with depth parameter ``k``."""
+    """Event-driven jump-frontier relaxation with depth parameter ``k``.
+
+    A pass pops ``heap`` until it is empty and defers to ``later``, the
+    next pass's heap, a vertex improved after a call of the pass scanned
+    it.  No live entry is of a vertex scanned in its pass, as waves scan
+    only vertices their call improved.  A sink is never queued."""
     dist, parent, stats = start_run(g, source, "jfr-pq", k)
-    activations = stats.activations
+    activations, offsets = stats.activations, g.offsets
     ws = LmhWorkspace(g, dist, parent, stats)
-    scanned = ws.scanned
-    heap = [(0.0, source)]
+    scanned, window = ws.scanned, ws.window
+    heap, later = [(0.0, source)], []
+    pass_start = 0  # ws.clock when the pass began
     pushes = 1
     stale = 0
     next_walk = g.n
     witness = None
     heappush, heappop = heapq.heappush, heapq.heappop
     t0 = time.perf_counter_ns()
-    while heap:
+    while heap or later:
+        if not heap:
+            heap, later, pass_start = later, heap, ws.clock
         key, u = heappop(heap)
         if key != dist[u]:
             stale += 1
@@ -221,8 +233,8 @@ def jfr_pq(g: Graph, source: int, k: int = DEFAULT_K) -> SsspResult:
             # scan-once: skip v if a later wave of this call already
             # relaxed its out-edges at its current label
             dv = dist[v]
-            if dv != scanned[v]:
-                heappush(heap, (dv, v))
+            if dv != scanned[v] and offsets[v] != offsets[v + 1]:
+                heappush(later if window[v] > pass_start else heap, (dv, v))
                 pushes += 1
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.queue_pushes = pushes

@@ -23,6 +23,9 @@ properties computed from stored ones.
   counted as activations.
 * ``queue_pushes`` — entries into the queue or heap.  SPFA and Dijkstra
   count an activation at each push, so there it is ``sum(activations)``.
+  ``jfr_pq`` defers a vertex improved after its pass scanned it to the
+  next pass's heap: one push, and no activation or stale pop by itself.
+  It never pushes a sink (no out-edges), so a sink never costs a pop.
 * ``stale_pops`` — priority-queue pops whose key is no longer the vertex's
   label.  ``jfr_pq`` does not queue a vertex whose out-edges its
   propagation already relaxed at the vertex's final label (scan-once), so

@@ -286,3 +286,22 @@ def test_criterion_9_desk_suite_table(desk_suite_runs):
     assert has_columns
     assert len(rows) == 8
     assert all_pass
+
+
+def test_criterion_10_pq_killer_inspections_polynomial():
+    # k = detour: every detour lies within one propagation's reach, the
+    # case where lazy deletion alone doubles its scans per level
+    rows, over = [], 0
+    for k in (1, 2, 3, 4):
+        for levels in (8, 12, 16):
+            g = generate("pq-killer", 0, levels=levels, detour=k)
+            pq = jfr_pq(g, 0, k).stats.edge_inspections
+            over += pq > g.n * g.m
+            rows.append(f"k{k}/L{levels} {pq}/"
+                        f"{spfa_fifo(g, 0).stats.edge_inspections}/"
+                        f"{bellman_ford(g, 0).stats.edge_inspections}"
+                        f" (n*m {g.n * g.m})")
+    report(f"ACCEPTANCE 10 pq-killer inspections: "
+           f"{'PASS' if over == 0 else 'FAIL'} — jfr-pq/fifo/bf per rung: "
+           f"{'; '.join(rows)}; {over} rungs above n*m")
+    assert over == 0

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -324,15 +325,48 @@ def test_jfr_pq_inspects_no_more_than_slf_on_benign_families(family, params):
 
 def test_jfr_pq_slf_killer_inspections_pinned():
     assert jfr_pq(gen_slf_killer(2000, seed=0), 0).stats.edge_inspections \
-        == 3998
+        == 3331
+
+
+def _fan(fans):
+    """The source 0 joined to ``fans`` hubs, each with negative edges to
+    3 sinks of its own and a positive edge to the next hub."""
+    edges = []
+    for i in range(fans):
+        hub = 1 + 4 * i
+        edges.append((0, hub, 10.0 * (i + 1)))
+        edges += [(hub, hub + j, -1.0 * j) for j in (1, 2, 3)]
+        if i + 1 < fans:
+            edges.append((hub, hub + 4, 1.0))
+    return from_edge_list(EdgeListDoc(1 + 4 * fans, edges))
+
+
+@pytest.mark.parametrize("g", [_fan(6), gen_slf_killer(600, seed=0)],
+                         ids=["fan", "slf-killer"])
+def test_jfr_pq_never_queues_a_sink(g, monkeypatch):
+    # a sink's scan relaxes nothing, so it costs neither a push nor a pop
+    pushed = set()
+    real_heappush = heapq.heappush
+
+    def heappush(heap, item):
+        pushed.add(item[1])
+        real_heappush(heap, item)
+
+    # jfr_pq reads heapq.heappush at each call
+    monkeypatch.setattr(heapq, "heappush", heappush)
+    sinks = {v for v in range(1, g.n) if g.out_degree(v) == 0}
+    assert sinks
+    for k in (1, 2, 3):
+        pushed.clear()
+        r = jfr_pq(g, 0, k)
+        assert r.dist == bellman_ford(g, 0).dist, k
+        assert not pushed & sinks, k
+        assert not any(r.stats.activations[v] for v in sinks), k
 
 
 PQ_KILLER_LEVELS = (8, 12, 16)
 
 
-@pytest.mark.xfail(strict=True, reason="jfr_pq is exponential on pq-killer "
-                   "at every k <= detour: lazy deletion re-runs the cascade "
-                   "below each detour (ROADMAP item 2)")
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_jfr_pq_inspects_at_most_nm_on_pq_killer(k):
     for levels in PQ_KILLER_LEVELS:
@@ -347,16 +381,17 @@ def test_pq_killer_labels_and_fifo_inspections(k):
         fifo = spfa_fifo(g, 0)
         assert fifo.dist == bellman_ford(g, 0).dist
         assert fifo.dist[-1] == -(2 ** levels - 1)  # every detour taken
-        if levels < PQ_KILLER_LEVELS[-1]:  # the top rung costs jfr_pq 0.5 s
-            assert jfr_pq(g, 0, k).dist == fifo.dist
+        assert jfr_pq(g, 0, k).dist == fifo.dist
         # about a quarter of n * m at detour 1, less at longer detours
         assert fifo.stats.edge_inspections <= g.n * g.m / 3
 
 
 def test_jfr_pq_pq_killer_inspections_pinned():
-    # at k = detour = 1 each level doubles the scans: 3 * (2^levels - 1)
+    # at k = detour = 1 the passes inspect as FIFO order does:
+    # 3 * levels * (levels + 1) / 2 edges, where lazy deletion without
+    # passes takes 3 * (2^levels - 1)
     assert [jfr_pq(generate("pq-killer", 0, levels=levels, detour=1), 0, 1)
-            .stats.edge_inspections for levels in (8, 12)] == [765, 12285]
+            .stats.edge_inspections for levels in (8, 12)] == [108, 234]
 
 
 def test_jfr_pq_argument_validation():

@@ -50,9 +50,9 @@ PINNED = {
                       "5624266560380edd578fdb51f3cc334d"),
     "jfr_strict-k3": (partial(jfr_strict, k=3),
                       "c05345ac61d4c920deaca63db145da99"),
-    "jfr_pq-k1": (partial(jfr_pq, k=1), "bc5a4860c8c184594dc59f6743ef394b"),
-    "jfr_pq-k2": (partial(jfr_pq, k=2), "d5d87daea3932664f57557e508a5da45"),
-    "jfr_pq-k3": (partial(jfr_pq, k=3), "0ae17f17a01bed6fb944ff7570a24d2d"),
+    "jfr_pq-k1": (partial(jfr_pq, k=1), "6e99230d38e165134bfdf548257ea0de"),
+    "jfr_pq-k2": (partial(jfr_pq, k=2), "61afcc8409868b71b95754f4f41731a3"),
+    "jfr_pq-k3": (partial(jfr_pq, k=3), "16cd74218369f17478a583d000359e17"),
 }
 
 
