@@ -3,10 +3,11 @@ baselines, adversarial graph generators, and benchmark tooling."""
 
 from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (BrokenParentChain, GraphTooLarge, HeaderMismatch,
-                     IndexOutOfRange, JfrError, MissingEdge, ModeMismatch,
-                     NegativeSelfLoop, NegativeWeightPresent, NegCycleResult,
-                     NoCycleRecorded, NonFiniteWeight, ParseError,
-                     SpecInvalid, UnknownAlgorithm, Unreachable, ZeroOps)
+                     IndexOutOfRange, InexactWeight, JfrError, MissingEdge,
+                     ModeMismatch, NegativeSelfLoop, NegativeWeightPresent,
+                     NegCycleResult, NoCycleRecorded, NonFiniteWeight,
+                     ParseError, SpecInvalid, UnknownAlgorithm, Unreachable,
+                     ZeroOps)
 from .generators import (FAMILIES, family_params, gen_neg_dense,
                          gen_pq_killer, gen_slf_killer, gen_sparse_random,
                          gen_windmill, generate, plant_negative_cycle)
@@ -24,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "BrokenParentChain", "Comparison", "EdgeListDoc",
     "FAMILIES", "Graph", "GraphTooLarge", "HeaderMismatch", "IndexOutOfRange",
-    "JfrError", "LmhWorkspace", "MissingEdge", "ModeMismatch",
+    "InexactWeight", "JfrError", "LmhWorkspace", "MissingEdge", "ModeMismatch",
     "NegCycleResult", "NegativeSelfLoop", "NegativeWeightPresent",
     "NoCycleRecorded", "NonFiniteWeight", "ParseError", "RunStats",
     "SpecInvalid", "SsspResult", "UnknownAlgorithm", "Unreachable",

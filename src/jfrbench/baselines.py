@@ -2,14 +2,14 @@
 
 All solvers share the relaxation convention: strict ``<`` with no epsilon,
 first writer wins on ties, distances start at ``inf`` except the source.
-Negative-cycle handling differs by family: Bellman-Ford flags an n-th pass
-that still improves, or sooner a parent cycle proving that one would.  The
-queue-based solvers walk the popped vertex's parent chain each time their
-inspection count has doubled (first at n) and flag a chain that ends in a
-cycle: every parent cycle of a label-correcting run is negative, and a
-label below the lightest simple path to its vertex has a chain that cannot
-reach the source (Cherkassky and Goldberg, "Negative-cycle detection
-algorithms", 1999).
+Every solver flags a negative cycle on a parent cycle: weights are whole
+micro-units (:mod:`jfrbench.graph`), so sums are exact, every parent cycle
+of a label-correcting run is negative, and a label below the lightest
+simple path to its vertex has a chain that cannot reach the source
+(Cherkassky and Goldberg, "Negative-cycle detection algorithms", 1999).
+Bellman-Ford walks each pass's last improved vertex's chain, and flags an
+n-th pass that still improves; the queue-based solvers walk the popped
+vertex's each time their inspection count has doubled (first at n).
 """
 
 import heapq
@@ -19,7 +19,7 @@ from collections import deque
 
 from .errors import NegativeWeightPresent
 from .graph import Graph
-from .paths import certified_cycles, on_parent_cycle, peel_cycle
+from .paths import on_parent_cycle
 from .results import SsspResult, start_run
 
 INF = math.inf
@@ -28,9 +28,8 @@ INF = math.inf
 def bellman_ford(g: Graph, source: int) -> SsspResult:
     """Reference solver: edge passes in CSR order until one improves
     nothing, or the n-th improves and flags.  A parent cycle that ends the
-    last improved vertex's chain (so the source reaches it) and that
-    :func:`certified_cycles` certifies flags sooner: it proves the n-th
-    pass would improve, so the verdict is the n-pass rule's."""
+    last improved vertex's chain (so the source reaches it) flags sooner:
+    it is negative, so the n-th pass would improve."""
     dist, parent, stats = start_run(g, source, "bf")
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
@@ -59,10 +58,8 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
         passes += 1
         if last is None:
             break
-        x = on_parent_cycle(parent, last)
-        if x is not None and any(certified_cycles(
-                g, [peel_cycle(parent, x)])):
-            witness = x
+        witness = on_parent_cycle(parent, last)
+        if witness is not None:
             break
     else:  # the n-th pass still improved
         witness = last

@@ -31,7 +31,7 @@ from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
 from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
                      UnknownAlgorithm)
 from .generators import FAMILIES, family_params, generate
-from .graph import Graph, read_file, write_file, write_text
+from .graph import SCALE, Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
 from .metrics import compare
 from .results import RunStats, SsspResult
@@ -108,8 +108,8 @@ def _check(g, source, result) -> str:
 
 
 def _json_label(d):
-    """A label as strict JSON has it: infinities become "inf" / "-inf"."""
-    return "inf" if d == math.inf else "-inf" if d == -math.inf else d
+    """A micro-unit label in whole units, "inf" / "-inf" for strict JSON."""
+    return "inf" if d == math.inf else "-inf" if d == -math.inf else d / SCALE
 
 
 def _write_csv(path, tag, header, rows):
@@ -240,7 +240,7 @@ def _validate_suite(spec):
             _expect(value is None or type(value) in kinds, f"entry {key!r} "
                     f"must be {' or '.join(t.__name__ for t in kinds)}", value)
             _expect(kinds == (int,) or value is None
-                    or abs(value) <= sys.float_info.max,
+                    or abs(value) < 2 ** 1024,  # finite as a float
                     f"entry {key!r} must be a finite number", value)
     ids = [_entry_id(entry) for entry in entries]
     _expect(len(set(ids)) == len(ids), "two entries share an id", ids)
@@ -309,15 +309,18 @@ def cmd_suite(args) -> int:
 
 
 def _label(d, path):
+    """A result file's label to the nearest micro-unit, or infinite."""
     if d in ("inf", "-inf"):
-        return float(d)
+        d = float(d)
     try:
         if type(d) in (int, float) and d == d:  # not NaN
-            return float(d)
-    except OverflowError:  # an integer past the float range
+            u = d * SCALE
+            return u if math.isinf(d) else float(float.__round__(u))
+    except OverflowError:  # past the float range in micro-units
         pass
-    raise SpecInvalid(f"result file {path}: label {d!r} is not a number, "
-                      "\"inf\" or \"-inf\"")
+    raise SpecInvalid(f"result file {path}: label {d!r} is not \"inf\", "
+                      "\"-inf\" or a number within the float range in "
+                      "micro-units")
 
 
 def _load_result(path, g):

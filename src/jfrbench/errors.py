@@ -15,6 +15,10 @@ class NonFiniteWeight(JfrError):
     """An edge weight is NaN or infinite."""
 
 
+class InexactWeight(JfrError):
+    """A weight off the 10^-6 grid, or |weights| past 2^52 micro-units."""
+
+
 class NegativeSelfLoop(JfrError):
     """A self-loop with negative weight (a trivial negative cycle)."""
 

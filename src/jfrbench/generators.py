@@ -52,8 +52,8 @@ list of the family's parameters with their types and defaults; ``generate``,
 the suite and the CLI flags all read it.  All randomness comes from
 ``random.Random`` (Mersenne Twister) seeded with the 64-bit seed;
 identical parameters give byte-identical graphs.
-Weights are rounded to 6 decimal digits to keep path sums well
-conditioned.
+Weights are rounded to 6 decimal digits, the whole micro-units that
+:mod:`jfrbench.graph` requires.
 """
 
 import inspect
@@ -62,8 +62,8 @@ import random
 from .errors import SpecInvalid
 from .graph import EdgeListDoc, Graph, from_edge_list
 
-# smallest weight of a neg-dense graph with no negative share (all its
-# potentials zero): weights stay positive against the 6-digit rounding
+# where the weights of a neg-dense graph with no negative share start by
+# default: 500 micro-units, so none rounds to zero
 _W0_FLOOR = 5e-4
 
 
@@ -218,12 +218,12 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
     chain and Bellman-Ford settles the graph in two passes.  The direct
     edge s_j -> s_{j-1} weighs 0; the detour's edges weigh j, 0, ..., 0,
     -(j + 2^(j-1)).  ``n = levels * (detour + 1) + 1`` and ``m = levels *
-    (detour + 2)``.  Every weight is an integer and every label is below
-    2^(levels+1) in size, so labels stay exact.  The instance does not
-    depend on ``seed``: every seed gives the same graph.
+    (detour + 2)``.  Its |weights| sum to L(L+1) + 2^L - 1 at L = levels,
+    under the 2^52 micro-units that keep labels exact up to 32 levels.
+    Every seed gives the same graph.
     """
-    if not 1 <= levels <= 50:
-        raise SpecInvalid("pq-killer needs 1 <= levels <= 50")
+    if not 1 <= levels <= 32:
+        raise SpecInvalid("pq-killer needs 1 <= levels <= 32")
     if detour < 1:
         raise SpecInvalid("pq-killer needs detour >= 1")
     edges = []
@@ -250,7 +250,7 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
         raise SpecInvalid("total_weight must be negative")
     rng = random.Random(seed)
     members = rng.sample(range(g.n), cycle_len)
-    edges = list(g.edges())
+    edges = g.to_edge_list().edges
     if source not in members:
         edges.append((source, members[0], _r6(rng.uniform(0.1, 1.0))))
     partial = 0.0

@@ -14,23 +14,31 @@ text is exactly what ``write_text`` writes: ``n m\n``, then ``t h w\n``
 lines with single spaces, ASCII digits and tails in CSR order.
 ``read_file`` reads it straight into CSR arrays; it reads any other text
 through ``read_text`` and ``from_edge_list``, which raise every error.
+
+A ``Graph`` holds each weight ``w`` as integer micro-units ``w * SCALE``
+in a float; their magnitudes sum to at most 2^52, so every path sum is
+exact.  ``to_edge_list`` and the CLI's JSON convert back to whole units.
 """
 
 import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import eq, le
+from itertools import chain, compress, islice, repeat
+from operator import eq, le, mul, sub, truediv
 
 from .errors import (
     GraphTooLarge,
     HeaderMismatch,
     IndexOutOfRange,
+    InexactWeight,
     NegativeSelfLoop,
     NonFiniteWeight,
     ParseError,
 )
+
+SCALE = 1e6  # micro-units per weight unit
+MAX_UNITS = 2.0 ** 52  # the largest sum of |weight| in micro-units
 
 
 @dataclass
@@ -46,7 +54,7 @@ class EdgeListDoc:
 
 
 class Graph:
-    """Directed graph with float weights in CSR form.
+    """Directed graph in CSR form, with weights in micro-units.
 
     Attributes are set once at construction and treated as read-only.
     """
@@ -74,13 +82,15 @@ class Graph:
 
     def edges(self):
         """Iterate all edges as ``(tail, head, weight)`` in CSR order."""
-        offsets, targets, weights = self.offsets, self.targets, self.weights
-        for u in range(self.n):
-            for e in range(offsets[u], offsets[u + 1]):
-                yield u, targets[e], weights[e]
+        offsets = self.offsets
+        return zip(chain.from_iterable(map(repeat, range(self.n),
+                                           map(sub, offsets[1:], offsets))),
+                   self.targets, self.weights)
 
     def to_edge_list(self) -> EdgeListDoc:
-        return EdgeListDoc(self.n, list(self.edges()))
+        """The edge list, weights in whole units, that builds this graph."""
+        return EdgeListDoc(self.n, [(u, v, w / SCALE)
+                                    for u, v, w in self.edges()])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -93,12 +103,25 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _units(weights) -> "list | None":
+    """``weights`` as integer-valued floats of micro-units, or None if one
+    is not finite or off the grid, or if |weights| sum past MAX_UNITS."""
+    try:  # float.__round__ is 2x round(); copysign keeps a zero's sign
+        units = list(map(math.copysign, map(float.__round__, map(
+            mul, weights, repeat(SCALE))), weights))
+    except (OverflowError, ValueError):  # an infinity or NaN
+        return None
+    exact = (sum(map(abs, units)) <= MAX_UNITS
+             and list(map(truediv, units, repeat(SCALE))) == weights)
+    return units if exact else None
+
+
 def from_edge_list(doc: EdgeListDoc) -> Graph:
     """Build a CSR graph, validating endpoints and weights.
 
     Preserves the relative order of each vertex's out-edges.  Rejects
-    endpoints outside ``[0, n)``, non-finite weights, and negative
-    self-loops (a one-edge negative cycle).
+    endpoints outside ``[0, n)``, non-finite weights, negative self-loops
+    (a one-edge negative cycle), and inexact weights (:func:`_units`).
     """
     n = doc.n
     try:
@@ -123,21 +146,21 @@ def from_edge_list(doc: EdgeListDoc) -> Graph:
     for tail, head, weight in doc.edges:
         slot = cursor[tail]
         targets[slot] = head
-        weights[slot] = float(weight)
+        weights[slot] = weight
         cursor[tail] = slot + 1
-    return Graph(n, offsets, targets, weights)
-
-
-def _format_weight(w: float) -> str:
-    # repr() gives the shortest string that round-trips through float().
-    return repr(float(w))
+    units = _units(weights)
+    if units is None:
+        raise InexactWeight("weights must be whole multiples of 1e-6 whose "
+                            f"magnitudes sum to at most {MAX_UNITS / SCALE}")
+    return Graph(n, offsets, targets, units)
 
 
 def write_text(doc: EdgeListDoc) -> bytes:
     """Serialize a document in canonical form (no comments, LF endings)."""
     lines = [f"{doc.n} {doc.m}"]
     for tail, head, weight in doc.edges:
-        lines.append(f"{tail} {head} {_format_weight(weight)}")
+        # repr() is the shortest string that round-trips through float()
+        lines.append(f"{tail} {head} {float(weight)!r}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -216,14 +239,14 @@ def _read_canonical(data: bytes) -> "Graph | None":
         offsets = [0] * (n + 1)  # a huge n fails here, before any loop
     except (ValueError, MemoryError, OverflowError):
         return None
-    if len(tails) != m or m and (
+    units = _units(weights)
+    if units is None or len(tails) != m or m and (
             tails[-1] >= n or max(heads) >= n
             or not all(map(le, tails, islice(tails, 1, None)))
-            or not all(map(math.isfinite, weights))
-            or min(compress(weights, map(eq, tails, heads)), default=0) < 0):
+            or min(compress(units, map(eq, tails, heads)), default=0) < 0):
         return None
     offsets[1:] = map(bisect_right, repeat(tails), range(n))
-    return Graph(n, offsets, heads, weights)
+    return Graph(n, offsets, heads, units)
 
 
 def read_file(path) -> Graph:

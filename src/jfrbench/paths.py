@@ -1,7 +1,6 @@
 """Path reconstruction and negative-cycle certificate extraction."""
 
 import math
-import sys
 
 from .errors import (BrokenParentChain, MissingEdge, NegCycleResult,
                      NoCycleRecorded, Unreachable)
@@ -90,31 +89,6 @@ def on_parent_cycle(parent: list, v: int) -> "int | None":
         if v is None:
             return None
     return v
-
-
-def certified_cycles(g: Graph, cycles):
-    """The cycles among ``cycles`` that prove Bellman-Ford's n-pass rule
-    flags a negative cycle from any source that reaches them: those whose
-    edges exist and whose weight is negative beyond float rounding.
-
-    The rule's labels are float sums along walks of at most n*m edges, so
-    |label| <= 2*n*m*wmax.  Were one of its n passes a fixed point, each
-    of a cycle's k edges would give d[v] <= fl(d[u] + w), which rounds by
-    at most u*(|label| + wmax) with u = eps/2; summed around the cycle,
-    and with the rounding of the cycle's own float sum, that needs a
-    weight of at least -k*eps*wmax*n*(m + 2).  A lighter cycle leaves no
-    pass without an improvement, so the n-th pass improves and flags.
-    """
-    scale = g.n * (g.m + 2) * max(map(abs, g.weights), default=0.0)
-    if not scale < 1e300:  # labels could overflow to -inf and settle
-        return
-    for cycle in cycles:
-        try:
-            weight = cycle_weight(g, cycle)
-        except MissingEdge:  # a parent edge the graph does not have
-            continue
-        if weight < -len(cycle) * scale * sys.float_info.epsilon:
-            yield cycle
 
 
 def detect_negative_cycle(result: SsspResult, g: Graph) -> list:

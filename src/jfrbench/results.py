@@ -71,13 +71,12 @@ class RunStats:
 
 @dataclass
 class SsspResult:
-    dist: list[float]
+    dist: list[float]  # in micro-units, as the graph's weights
     parent: list["int | None"]
     neg_cycle: bool
     stats: RunStats
     # a vertex on a parent cycle, or one improved in an n-th pass or round
-    # (bellman_ford, jfr_strict) whose parent chain leads into one;
-    # bellman_ford's early exit gives a vertex on its certified cycle
+    # (bellman_ford, jfr_strict) whose parent chain leads into one
     cycle_witness: "int | None" = None
 
 

@@ -4,20 +4,20 @@ cheap fixed-point audit that needs no second solver run, and
 a negative parent cycle and re-solves only when neither vouches for the
 result.
 
-Exact float equality is the right comparison here: every solver in this
-package computes each final label as the minimum over paths of the same
-forward-evaluated float sum, so agreeing inputs give bit-identical
-distance arrays.  The fixed-point audit (triangle inequality over all
-edges plus a tree of tight parent edges rooted at the source) is the
+Exact equality is the right comparison here: weights are whole
+micro-units whose magnitudes sum to at most 2^52 (:mod:`jfrbench.graph`),
+so every path sum is exact and every solver's labels on a feasible graph
+are the exact distances.  The fixed-point audit (triangle inequality over
+all edges plus a tree of tight parent edges rooted at the source) is the
 authority for results imported from outside the package.
 """
 
 from dataclasses import dataclass
 
 from .baselines import bellman_ford
-from .errors import NegCycleResult
+from .errors import MissingEdge, NegCycleResult
 from .graph import Graph
-from .paths import certified_cycles, parent_cycles
+from .paths import cycle_weight, parent_cycles
 from .results import SsspResult, check_source
 
 _INF = float("inf")
@@ -145,16 +145,15 @@ def _reachable(g: Graph, s: int) -> list:
 
 
 def _flag_certified(g: Graph, s: int, parent: list) -> bool:
-    """Whether ``parent`` holds a cycle that proves Bellman-Ford flags a
-    negative cycle from ``s``: one that :func:`certified_cycles` certifies
-    and that ``s`` reaches.  Bellman-Ford returns the n-pass rule's
-    verdict, early exit or not, so the proof covers the oracle itself.
-    """
-    reach = None
-    for cycle in certified_cycles(g, parent_cycles(parent)):
-        reach = reach or _reachable(g, s)
-        if reach[cycle[0]]:
-            return True
+    """Whether ``s`` reaches a negative cycle of ``parent``, which proves
+    that Bellman-Ford flags a negative cycle from ``s``."""
+    reach = _reachable(g, s)
+    for cycle in parent_cycles(parent):
+        try:
+            if reach[cycle[0]] and cycle_weight(g, cycle) < 0:
+                return True
+        except MissingEdge:  # a parent edge the graph does not have
+            pass
     return False
 
 
@@ -163,10 +162,9 @@ def certify(g: Graph, s: int, result: SsspResult) -> VerifyReport:
     and parent_ok for an unflagged result, without re-solving whenever a
     linear certificate vouches for the result.
 
-    Unflagged: a passing audit proves that Bellman-Ford returns exactly
-    these labels and does not flag.  Float addition is monotone, so its
-    labels never drop below a triangle-consistent L with L[s] = 0, and
-    within n - 1 passes they reach the sums along L's tight tree paths.
+    Unflagged: a passing audit proves that these labels are the exact
+    distances, which Bellman-Ford returns unflagged: each finite label is
+    the exact weight of its tight tree path, and no edge improves one.
     Flagged: a negative parent cycle that ``s`` reaches
     (:func:`_flag_certified`) proves that Bellman-Ford flags too.  Any
     other result, wrong or with parents the certificate cannot follow, is

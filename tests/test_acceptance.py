@@ -8,9 +8,11 @@ and 6.
 
 import csv
 import json
+import random
 import statistics
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
@@ -18,9 +20,11 @@ from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.cli import DESK_SUITE, main, run_algorithm
 from jfrbench.generators import (gen_slf_killer, gen_sparse_random, generate,
                                  plant_negative_cycle)
+from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
 from jfrbench.metrics import bound_check, compare
 from jfrbench.paths import cycle_weight, detect_negative_cycle
+from jfrbench.verify import certify
 
 STRICT_KS = (1, 2, 4, 8)
 
@@ -305,3 +309,39 @@ def test_criterion_10_pq_killer_inspections_polynomial():
            f"{'PASS' if over == 0 else 'FAIL'} — jfr-pq/fifo/bf per rung: "
            f"{'; '.join(rows)}; {over} rungs above n*m")
     assert over == 0
+
+
+def rounding_fuzz_graph(rng):
+    """A multigraph of the negative-cycle fuzz: n = 3-8, up to 3n edges of
+    6-decimal weight in [0, 10], each but a loop followed in 30% of the
+    draws by a reverse edge of negated weight, whose zero-weight 2-cycles
+    float sums of the weights once left as parent cycles."""
+    n = rng.randint(3, 8)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        w = round(rng.uniform(0, 10), 6)
+        edges.append((u, v, w))
+        if u != v and rng.random() < 0.3:
+            edges.append((v, u, -w))
+    return from_edge_list(EdgeListDoc(n, edges))
+
+
+def test_criterion_11_one_negative_cycle_verdict():
+    solvers = [spfa_fifo, spfa_slf] + [
+        partial(solve, k=k) for solve in (jfr_pq, jfr_strict) for k in (1, 2)]
+    rng = random.Random(7)
+    graphs = splits = rejections = 0
+    for _ in range(3000):
+        g = rounding_fuzz_graph(rng)
+        oracle = bellman_ford(g, 0)
+        splits += sum(solve(g, 0).neg_cycle != oracle.neg_cycle
+                      for solve in solvers)
+        rejections += not certify(g, 0, oracle).ok
+        graphs += 1
+    ok = splits == 0 and rejections == 0
+    report(f"ACCEPTANCE 11 one negative-cycle verdict: "
+           f"{'PASS' if ok else 'FAIL'} — {graphs} fuzzed multigraphs x "
+           f"{len(solvers)} solvers, {splits} verdicts that split from "
+           f"Bellman-Ford, {rejections} certify rejections of its own result")
+    assert ok

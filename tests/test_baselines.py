@@ -16,7 +16,7 @@ INF = math.inf
 
 def test_bellman_ford_triangle():
     r = bellman_ford(triangle(), 0)
-    assert r.dist == [0.0, 2.0, 1.0]
+    assert r.dist == [0.0, 2e6, 1e6]  # in micro-units
     assert r.parent == [None, 0, 1]
     assert not r.neg_cycle
     s = r.stats
@@ -41,13 +41,13 @@ def test_bellman_ford_skips_unreachable_tails():
 def test_bellman_ford_chain_early_exit():
     # ascending vertex order lets one pass settle the whole chain
     r = bellman_ford(chain(5), 0)
-    assert r.dist == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert r.dist == [0.0, 1e6, 2e6, 3e6, 4e6]
     assert r.stats.outer_iterations == 2
 
 
 def test_spfa_fifo_triangle():
     r = spfa_fifo(triangle(), 0)
-    assert r.dist == [0.0, 2.0, 1.0]
+    assert r.dist == [0.0, 2e6, 1e6]
     s = r.stats
     assert s.mode == "spfa-fifo"
     assert s.edge_inspections == 3
@@ -58,7 +58,7 @@ def test_spfa_fifo_triangle():
 
 def test_spfa_slf_triangle():
     r = spfa_slf(triangle(), 0)
-    assert r.dist == [0.0, 2.0, 1.0]
+    assert r.dist == [0.0, 2e6, 1e6]
     assert r.stats.mode == "spfa-slf"
     assert r.stats.edge_inspections == 3
 
@@ -69,7 +69,7 @@ def test_spfa_slf_front_insertion():
     g = from_edge_list(EdgeListDoc(4, [(0, 1, 5.0), (0, 2, 1.0),
                                        (1, 3, 1.0), (2, 3, 1.0)]))
     r = spfa_slf(g, 0)
-    assert r.dist == [0.0, 5.0, 1.0, 2.0]
+    assert r.dist == [0.0, 5e6, 1e6, 2e6]
     assert r.parent[3] == 2
 
 
@@ -88,7 +88,7 @@ def test_negative_cycle_unreachable_is_ignored():
     for alg in (bellman_ford, spfa_fifo, spfa_slf):
         r = alg(g, 0)
         assert not r.neg_cycle
-        assert r.dist[:2] == [0.0, 1.0] and r.dist[2] == INF
+        assert r.dist[:2] == [0.0, 1e6] and r.dist[2] == INF
 
 
 def test_dijkstra_rejects_negative_weights():
@@ -144,7 +144,7 @@ def test_parallel_edges_are_not_a_negative_cycle(solve):
     # n-improvements guard took for a cycle
     g = from_edge_list(EdgeListDoc(2, [(0, 1, 1.0), (0, 1, 0.5)]))
     r = solve(g, 0)
-    assert r.dist == [0.0, 0.5] and not r.neg_cycle
+    assert r.dist == [0.0, 5e5] and not r.neg_cycle
 
 
 def test_negative_cycle_detection_cost():

@@ -21,7 +21,7 @@ from jfrbench.baselines import bellman_ford
 from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
 from jfrbench.generators import (FAMILIES, family_params, generate,
                                  plant_negative_cycle)
-from jfrbench.graph import from_edge_list, read_text, write_file
+from jfrbench.graph import SCALE, from_edge_list, read_text, write_file
 from jfrbench.results import RunStats, SsspResult
 
 
@@ -398,6 +398,11 @@ MALFORMED = {
     # n + 1 offsets past the index range, and past the address space
     **{f"{cmd}-graph-n-{n}": _with_huge_header(cmd, n)
        for cmd in ("run", "verify") for n in (10 ** 19, 10 ** 15)},
+    # a weight off the micro-unit grid, and weights past 2^52 micro-units
+    **{f"run-graph-weight-{w}": lambda tmp_path, graph, w=w: [
+        "run", _file_arg(tmp_path, "w.txt", f"3 2\n0 1 1.0\n1 2 {w}\n"),
+        "--algo", "bf"]
+       for w in ("-0.100000000001", "1e-7", "1e299", "1e308")},
     "run-graph-missing": lambda tmp_path, graph: [
         "run", str(tmp_path / "missing.txt"), "--algo", "bf"],
     "run-out-unwritable": lambda tmp_path, graph: [
@@ -472,7 +477,7 @@ def test_run_out_bytes_are_pinned(capsys, tmp_path, monkeypatch):
                    "r.json")[0] == 0
     text = (tmp_path / "r.json").read_bytes()
     assert strict_json(text)["dist"].count("inf") == 15
-    assert hashlib.md5(text).hexdigest() == "63c22a9539ccc9d256b87abf8247bffa"
+    assert hashlib.md5(text).hexdigest() == "853fadab3ed4b8daa489564c2ac5ed6e"
 
 
 def untimed(out):
@@ -548,7 +553,7 @@ def result_payloads(draw):
     oracle = bellman_ford(fuzz_graph(name), 0)
     n = len(oracle.dist)
     payload = {"neg_cycle": draw(st.booleans()), "dist": mixed_list(
-        draw, ["inf" if d == math.inf else d for d in oracle.dist],
+        draw, ["inf" if d == math.inf else d / SCALE for d in oracle.dist],
         st.one_of(st.floats(-3, 6), st.just("inf")))}
     if draw(st.booleans()):
         payload["parent"] = mixed_list(draw, oracle.parent,
@@ -578,17 +583,19 @@ def test_verify_fuzz_ends_in_a_verdict_or_a_one_line_error(tmp_path, case):
         return
     assert code in (0, 1) and err == ""
     report = strict_json(out)
-    # the verdict the checks gave before certify, on the result as loaded
+    # the verdict the checks gave before certify, on the result as loaded:
+    # each label to the nearest micro-unit
     g = fuzz_graph(name)
-    dist = [float(d) for d in payload["dist"]]
+    dist = [u if math.isinf(u) else float(round(u))
+            for u in (float(d) * SCALE for d in payload["dist"])]
     parent = payload.get("parent")
     candidate = SsspResult(dist, [None] * g.n if parent is None else parent,
                            payload["neg_cycle"], RunStats(mode="external"))
     want = rule_before_certify(g, payload.get("source", 0), candidate)
     if want.first_mismatch is not None:
         v, a, b = want.first_mismatch
-        want.first_mismatch = [v] + [x if math.isfinite(x) else str(x)
-                                     for x in (a, b)]
+        want.first_mismatch = [v] + [x / SCALE if math.isfinite(x)
+                                     else str(x) for x in (a, b)]
     assert report == json.loads(json.dumps(want.__dict__))
     assert code == (0 if want.ok else 1)
 

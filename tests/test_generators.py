@@ -34,7 +34,7 @@ def test_generator_validation():
 def test_sparse_random_shape_and_range():
     g = gen_sparse_random(120, 600, 9, weight_lo=1.0, weight_hi=3.0)
     assert g.n == 120 and g.m == 600
-    assert all(1.0 <= w <= 3.0 for w in g.weights)
+    assert all(1e6 <= w <= 3e6 for w in g.weights)  # in micro-units
 
 
 def test_determinism_byte_identity():
@@ -195,12 +195,13 @@ def test_family_params_come_from_the_generator_signatures():
 
 
 def test_pq_killer_shape_and_seed_independence():
-    for levels, detour in ((1, 1), (5, 1), (6, 3)):
+    for levels, detour in ((1, 1), (5, 1), (6, 3), (32, 1)):
         g = generate("pq-killer", 0, levels=levels, detour=detour)
         assert (g.n, g.m) == (levels * (detour + 1) + 1, levels * (detour + 2))
-        assert all(w == int(w) for w in g.weights)
+        assert all(w % 1e6 == 0 for w in g.weights)  # whole units
         assert graph_bytes(generate("pq-killer", 99, levels=levels,
                                     detour=detour)) == graph_bytes(g)
-    for levels, detour in ((0, 1), (51, 1), (4, 0)):
+    # past 32 levels the weights sum past 2^52 micro-units
+    for levels, detour in ((0, 1), (33, 1), (4, 0)):
         with pytest.raises(SpecInvalid):
             generate("pq-killer", 0, levels=levels, detour=detour)

@@ -94,12 +94,15 @@ def test_csr_layout_and_order():
     doc = EdgeListDoc(3, [(1, 2, 1.0), (0, 2, 2.0), (1, 0, 3.0), (1, 2, 4.0)])
     g = from_edge_list(doc)
     assert g.n == 3 and g.m == 4
-    assert list(g.out_edges(0)) == [(2, 2.0)]
-    assert list(g.out_edges(1)) == [(2, 1.0), (0, 3.0), (2, 4.0)]
+    # weights in micro-units
+    assert list(g.out_edges(0)) == [(2, 2e6)]
+    assert list(g.out_edges(1)) == [(2, 1e6), (0, 3e6), (2, 4e6)]
     assert list(g.out_edges(2)) == []
     assert g.out_degree(1) == 3
-    assert list(g.edges()) == [(0, 2, 2.0), (1, 2, 1.0), (1, 0, 3.0),
-                               (1, 2, 4.0)]
+    assert list(g.edges()) == [(0, 2, 2e6), (1, 2, 1e6), (1, 0, 3e6),
+                               (1, 2, 4e6)]
+    assert g.to_edge_list().edges == [(0, 2, 2.0), (1, 2, 1.0), (1, 0, 3.0),
+                                      (1, 2, 4.0)]
 
 
 def test_from_edge_list_validation():

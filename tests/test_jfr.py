@@ -27,7 +27,7 @@ def test_lmh_chain_full_depth():
     ws = fresh_state(chain(4))
     improved = lmh_propagate(ws, [0], 3)
     stats = ws.stats
-    assert ws.dist == [0.0, 1.0, 2.0, 3.0]
+    assert ws.dist == [0.0, 1e6, 2e6, 3e6]  # in micro-units
     assert improved == [1, 2, 3]
     assert ws.parent == [None, 0, 1, 2]
     assert stats.lmh_calls == [(3, 3, 3)]
@@ -38,7 +38,7 @@ def test_lmh_chain_full_depth():
 def test_lmh_chain_depth_one_stops_after_one_hop():
     ws = fresh_state(chain(4))
     improved = lmh_propagate(ws, [0], 1)
-    assert ws.dist == [0.0, 1.0, INF, INF]
+    assert ws.dist == [0.0, 1e6, INF, INF]
     assert improved == [1]
     assert ws.stats.lmh_calls == [(1, 1, 1)]  # the window is {0}: only 0 scanned
 
@@ -48,7 +48,7 @@ def test_lmh_rejoining_paths_keep_first_improvement_order():
                                        (2, 1, 1.0)]))
     ws = fresh_state(g)
     improved = lmh_propagate(ws, [0], 2)
-    assert ws.dist == [0.0, 2.0, 1.0]
+    assert ws.dist == [0.0, 2e6, 1e6]
     assert improved == [1, 2]  # vertex 1 listed once despite two improvements
     assert ws.stats.improvements == [0, 2, 1]
 
@@ -104,7 +104,7 @@ def test_lmh_scans_a_repeated_seed_once():
 def test_lmh_records_scanned_labels():
     ws = fresh_state(chain(4))
     lmh_propagate(ws, [0], 2)
-    assert ws.scanned[:2] == [0.0, 1.0]
+    assert ws.scanned[:2] == [0.0, 1e6]
     assert all(math.isnan(x) for x in ws.scanned[2:])
 
 
@@ -126,7 +126,7 @@ def test_lmh_shared_workspace_matches_fresh_calls():
 
 def test_jfr_strict_chain_k1():
     r = jfr_strict(chain(4), 0, 1)
-    assert r.dist == [0.0, 1.0, 2.0, 3.0]
+    assert r.dist == [0.0, 1e6, 2e6, 3e6]
     s = r.stats
     assert s.mode == "jfr-strict" and s.k == 1
     assert s.outer_iterations == 4  # last iteration scans {3}, improves nothing
@@ -139,7 +139,7 @@ def test_jfr_strict_chain_deep_k_converges_in_one_iteration():
     # the propagation scans 1, 2 and 3 at their final labels, so none of
     # them is promoted and the first frontier is the last
     r = jfr_strict(chain(4), 0, 4)
-    assert r.dist == [0.0, 1.0, 2.0, 3.0]
+    assert r.dist == [0.0, 1e6, 2e6, 3e6]
     s = r.stats
     assert s.outer_iterations == 1
     assert s.activations == [1, 0, 0, 0]
@@ -270,7 +270,7 @@ def test_jfr_pq_vertex_scanned_at_its_label_costs_nothing_more():
     # 1 is never queued again: every edge is inspected exactly once
     r = jfr_pq(chain(6), 0, k=2)
     s = r.stats
-    assert r.dist == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert r.dist == [0.0, 1e6, 2e6, 3e6, 4e6, 5e6]
     assert s.edge_inspections == s.lmh_inspections == 5
     assert s.activations == [1, 0, 1, 0, 1, 0]
     assert (s.queue_pushes, s.stale_pops, s.outer_iterations) == (3, 0, 3)
@@ -380,7 +380,7 @@ def test_pq_killer_labels_and_fifo_inspections(k):
         g = generate("pq-killer", 0, levels=levels, detour=k)
         fifo = spfa_fifo(g, 0)
         assert fifo.dist == bellman_ford(g, 0).dist
-        assert fifo.dist[-1] == -(2 ** levels - 1)  # every detour taken
+        assert fifo.dist[-1] == -(2 ** levels - 1) * 1e6  # every detour
         assert jfr_pq(g, 0, k).dist == fifo.dist
         # about a quarter of n * m at detour 1, less at longer detours
         assert fifo.stats.edge_inspections <= g.n * g.m / 3

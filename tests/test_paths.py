@@ -58,13 +58,13 @@ def test_path_weights_are_consistent():
                 ws = [w for head, w in g.out_edges(a) if head == b]
                 assert ws, (seed, a, b)
                 total += min(ws)
-            assert total <= r.dist[v] + 1e-9
+            assert total == r.dist[v]
 
 
 def test_cycle_weight_wraparound_and_parallel_edges():
     g = from_edge_list(EdgeListDoc(3, [(0, 1, 2.0), (0, 1, 1.0),
                                        (1, 2, 3.0), (2, 0, -5.0)]))
-    assert cycle_weight(g, [0, 1, 2]) == pytest.approx(-1.0)
+    assert cycle_weight(g, [0, 1, 2]) == -1e6  # in micro-units
 
 
 def test_cycle_weight_missing_edge():

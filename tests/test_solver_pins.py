@@ -23,7 +23,7 @@ STATS = ("mode", "k", "edge_inspections", "successful_relaxations",
 def _parallel():
     """A sparse-random graph with every edge doubled by a lighter one."""
     g = generate("sparse-random", 5, n=30, m=90)
-    edges = list(g.edges())
+    edges = g.to_edge_list().edges
     return from_edge_list(EdgeListDoc(g.n, edges + [
         (u, v, round(w / 2, 6)) for u, v, w in edges]))
 
@@ -37,22 +37,23 @@ GRAPHS = [
     _parallel(),
 ]
 
-# md5 over GRAPHS of each solver's outputs and counters, from source 0
+# md5 over GRAPHS of each solver's outputs (labels in micro-units) and
+# counters, from source 0
 PINNED = {
-    "bellman_ford": (bellman_ford, "185158b28380f0444882f6a8b58176a7"),
-    "spfa_fifo": (spfa_fifo, "7a11e5c8b0c5134cb39930c48c19651a"),
-    "spfa_slf": (spfa_slf, "3da60d4ca0d772a53de8e5599910e2cb"),
+    "bellman_ford": (bellman_ford, "53806f45a6bbba867faabee5a9ad3f79"),
+    "spfa_fifo": (spfa_fifo, "55cf782fc3add4b30f1ff19188a92c51"),
+    "spfa_slf": (spfa_slf, "dd5677d6ec29619f8288471ad1b61775"),
     "dijkstra_oracle": (dijkstra_oracle,
-                        "3a45b8c93b393458f77884681a071c8d"),
+                        "82b665c6ebf1c59d0680162b7e635beb"),
     "jfr_strict-k1": (partial(jfr_strict, k=1),
-                      "ed4114eb149cdfea4b24d060615aa318"),
+                      "111b95df68ff484ac03334667ae3eacd"),
     "jfr_strict-k2": (partial(jfr_strict, k=2),
-                      "5624266560380edd578fdb51f3cc334d"),
+                      "d93ad7198385a0620856150744079f07"),
     "jfr_strict-k3": (partial(jfr_strict, k=3),
-                      "c05345ac61d4c920deaca63db145da99"),
-    "jfr_pq-k1": (partial(jfr_pq, k=1), "6e99230d38e165134bfdf548257ea0de"),
-    "jfr_pq-k2": (partial(jfr_pq, k=2), "61afcc8409868b71b95754f4f41731a3"),
-    "jfr_pq-k3": (partial(jfr_pq, k=3), "16cd74218369f17478a583d000359e17"),
+                      "e0323ecd84d538f1067d9970e318337a"),
+    "jfr_pq-k1": (partial(jfr_pq, k=1), "f581c70780e5990123634d07565bf7e9"),
+    "jfr_pq-k2": (partial(jfr_pq, k=2), "32c4b25a66db0862cd0e0cc1d86701f7"),
+    "jfr_pq-k3": (partial(jfr_pq, k=3), "0f8c6b16261a92444322b3fe9429f008"),
 }
 
 
