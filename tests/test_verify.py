@@ -331,6 +331,27 @@ def test_weights_that_micro_units_cannot_sum_exactly_are_rejected(
                 read_file(path)
 
 
+def test_certified_cycles_needs_a_weight_beyond_rounding(resolves):
+    # sums of micro-units are exact, so one micro-unit below zero is
+    # beyond rounding; weights whose sums could round are not built
+    def certified(edges):
+        g = from_edge_list(EdgeListDoc(3, edges))
+        claim = flagged_claim(3, [None, 2, 1])
+        del resolves[:]
+        report = certify(g, 0, claim)
+        assert report == rule_before_certify(g, 0, claim)
+        return report.ok and not resolves
+
+    assert certified([(0, 1, 1.0), (1, 2, -1.0), (2, 1, 0.5)])
+    # -1e-6 in all at labels near 1e6, where -1e-12 once sat in rounding
+    assert certified([(0, 1, 1e6), (1, 2, 0.1), (2, 1, -0.100001)])
+    assert not certified([(0, 1, 1.0), (1, 2, -1.0), (2, 1, 1.0)])  # zero
+    assert not certified([(0, 1, 1.0), (1, 2, -1.0)])  # no 2->1
+    for edges in INEXACT:
+        with pytest.raises(InexactWeight):
+            from_edge_list(EdgeListDoc(3, edges))
+
+
 def mutants(g, r, rng):
     """Copies of ``r`` with one label, parent or flag changed."""
     def copy(**changes):
@@ -402,6 +423,24 @@ def test_certify_resolves_a_zero_weight_parent_cycle(resolves):
     report = certify(g, 0, claim)
     assert report == rule_before_certify(g, 0, claim)
     assert not report.ok and resolves == [0]
+
+
+def test_certify_resolves_a_cycle_that_rounding_hides_from_the_oracle(
+        resolves):
+    # 1 -> 2 -> 1 weighing -0.5 behind a 1e17 edge once settled unflagged
+    # in float sums; that graph is refused, and at labels near the largest
+    # that can be built (4e15 micro-units, below 2^53) the smallest
+    # negative cycle, one micro-unit, still reaches the oracle
+    with pytest.raises(InexactWeight):
+        from_edge_list(EdgeListDoc(3, [(0, 1, 1e17), (1, 2, -1.0),
+                                       (2, 1, 0.5)]))
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 4e9), (1, 2, -1.0),
+                                       (2, 1, 0.999999)]))
+    assert bellman_ford(g, 0).neg_cycle
+    claim = flagged_claim(3, [None, 0, 1])  # parents the certificate
+    report = certify(g, 0, claim)           # cannot follow to a cycle
+    assert report == rule_before_certify(g, 0, claim)
+    assert report.ok and resolves == [0]
 
 
 def test_certify_checks_the_source_and_the_label_count():
