@@ -357,8 +357,6 @@ def _load_result(path, g):
 def cmd_verify(args) -> int:
     g = read_file(args.graph)
     source, candidate = _load_result(args.result, g)
-    if args.source is not None:
-        source = args.source
     report = certify(g, source, candidate)
     if report.first_mismatch is not None:
         v, want, got = report.first_mismatch
@@ -411,7 +409,6 @@ def _build_parser():
     p = sub.add_parser("verify", help="audit a saved result file")
     p.add_argument("graph")
     p.add_argument("result")
-    p.add_argument("--source", type=int, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

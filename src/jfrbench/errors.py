@@ -8,11 +8,11 @@ class JfrError(Exception):
 # --- graph construction / validation ---
 
 class IndexOutOfRange(JfrError):
-    """An edge endpoint is outside [0, n)."""
+    """An edge endpoint is not an int in [0, n)."""
 
 
 class NonFiniteWeight(JfrError):
-    """An edge weight is NaN or infinite."""
+    """An edge weight is NaN, infinite, or not an int or float."""
 
 
 class InexactWeight(JfrError):

@@ -24,7 +24,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, le, mul, sub, truediv
 
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
     NegativeSelfLoop,
     NonFiniteWeight,
     ParseError,
+    SpecInvalid,
 )
 
 SCALE = 1e6  # micro-units per weight unit
@@ -109,7 +110,7 @@ def _units(weights) -> "list | None":
     try:  # float.__round__ is 2x round(); copysign keeps a zero's sign
         units = list(map(math.copysign, map(float.__round__, map(
             mul, weights, repeat(SCALE))), weights))
-    except (OverflowError, ValueError):  # an infinity or NaN
+    except (OverflowError, TypeError, ValueError):  # inf, NaN, not a float
         return None
     exact = (sum(map(abs, units)) <= MAX_UNITS
              and list(map(truediv, units, repeat(SCALE))) == weights)
@@ -117,28 +118,37 @@ def _units(weights) -> "list | None":
 
 
 def from_edge_list(doc: EdgeListDoc) -> Graph:
-    """Build a CSR graph, validating endpoints and weights.
+    """Build a CSR graph, validating the vertex count, endpoints and weights.
 
     Preserves the relative order of each vertex's out-edges.  Rejects
     endpoints outside ``[0, n)``, non-finite weights, negative self-loops
     (a one-edge negative cycle), and inexact weights (:func:`_units`).
     """
     n = doc.n
+    if type(n) is not int or n < 0:
+        raise SpecInvalid(f"vertex count {n!r} is not an int >= 0")
     try:
         counts = [0] * (n + 1)
     except (MemoryError, OverflowError):
         raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
-    for tail, head, weight in doc.edges:
-        if not (0 <= tail < n and 0 <= head < n):
-            raise IndexOutOfRange(f"edge ({tail}, {head}) outside [0, {n})")
-        if not math.isfinite(weight):
-            raise NonFiniteWeight(f"edge ({tail}, {head}) weight {weight!r}")
-        if tail == head and weight < 0:
-            raise NegativeSelfLoop(f"vertex {tail} loop weight {weight}")
-        counts[tail + 1] += 1
-    offsets = [0] * (n + 1)
-    for i in range(n):
-        offsets[i + 1] = offsets[i] + counts[i + 1]
+    try:
+        for tail, head, weight in doc.edges:
+            if not (0 <= tail < n and 0 <= head < n):
+                raise IndexOutOfRange(f"edge ({tail}, {head}) not in [0, {n})")
+            if not math.isfinite(weight):
+                raise NonFiniteWeight(f"edge ({tail}, {head}) weight {weight}")
+            if tail == head and weight < 0:
+                raise NegativeSelfLoop(f"vertex {tail} loop weight {weight}")
+            counts[tail + 1] += 1
+    except (TypeError, ValueError, OverflowError) as exc:  # find the culprit
+        for tail, head, weight in doc.edges:
+            if not (isinstance(tail, int) and isinstance(head, int)
+                    and 0 <= tail < n and 0 <= head < n):
+                raise IndexOutOfRange("an endpoint is not a vertex") from exc
+            if not isinstance(weight, (int, float)):
+                raise NonFiniteWeight(f"non-float weight {weight!r}") from exc
+        raise InexactWeight("a weight is past the float range") from exc
+    offsets = list(accumulate(counts))
     m = len(doc.edges)
     targets = [0] * m
     weights = [0.0] * m

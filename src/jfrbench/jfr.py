@@ -173,8 +173,8 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                     in_improved[v] = True
                     improved.append(v)
         # an improvement in iteration n or later is impossible without a
-        # reachable negative cycle; before that, the parent walk of
-        # baselines._spfa runs once per round
+        # reachable negative cycle; before that, baselines._spfa's parent
+        # walk runs at most once a round, once inspections have doubled
         inspections = frontier_inspections + stats.edge_inspections
         if improved and outer >= n:
             witness = improved[0]

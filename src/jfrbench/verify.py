@@ -13,6 +13,8 @@ authority for results imported from outside the package.
 """
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, not_
 
 from .baselines import bellman_ford
 from .errors import MissingEdge, NegCycleResult
@@ -76,10 +78,11 @@ def check_optimality_conditions(g: Graph, s: int,
 
     triangle_ok: no edge can still improve its head.  parent_ok: the
     label and parent lists have one entry per vertex, each parent None or
-    a vertex; dist[s] is 0 and s has no parent; and every finite-label
-    vertex reaches s through parent edges that exist in the graph and are
-    tight.  Together the two flags prove the labels optimal: each is the
-    weight of a real path, and no path is shorter.  Raises NegCycleResult
+    a vertex; dist[s] is 0 and s has no parent; every other vertex whose
+    label is not +inf has a tight parent edge in the graph; and no parent
+    cycle holds such a label.  So every such vertex reaches s along tight
+    parent edges, and its label is the weight of a real path; with
+    triangle_ok no path is shorter.  Raises NegCycleResult
     when the result carries a negative-cycle flag (its labels are not a
     fixed point), and IndexOutOfRange for a source outside [0, n).
     """
@@ -110,22 +113,11 @@ def check_optimality_conditions(g: Graph, s: int,
                 report.triangle_ok = False
             elif parent_ok and cand == dv and parent[v] == u:
                 tight[v] = True
-    if not parent_ok:
-        return report
-    # follow each finite vertex's tight parent edges until they meet s or
-    # an earlier walk; every vertex is stepped through once
-    walk = [-1] * n  # the start vertex of the walk that stepped through v
-    walk[s] = n
-    for start in range(n):
-        v = start
-        while walk[v] < 0 and tight[v]:
-            walk[v] = start
-            v = parent[v]
-        # stuck at a finite label without a tight parent edge, or back on
-        # this walk's own chain (a parent cycle)
-        if (walk[v] < 0 and dist[v] != _INF) or walk[v] == start:
-            report.parent_ok = False
-            break
+    if parent_ok:  # after the first test, a cycle is all +inf or has none
+        tight[s] = True
+        report.parent_ok = (
+            all(map(eq, compress(dist, map(not_, tight)), repeat(_INF)))
+            and all(dist[c[0]] == _INF for c in parent_cycles(parent)))
     return report
 
 

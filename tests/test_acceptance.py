@@ -8,6 +8,7 @@ and 6.
 
 import csv
 import json
+import math
 import random
 import statistics
 import time
@@ -20,11 +21,13 @@ from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.cli import DESK_SUITE, main, run_algorithm
 from jfrbench.generators import (gen_slf_killer, gen_sparse_random, generate,
                                  plant_negative_cycle)
-from jfrbench.graph import EdgeListDoc, from_edge_list
+from jfrbench.graph import SCALE, EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
 from jfrbench.metrics import bound_check, compare
 from jfrbench.paths import cycle_weight, detect_negative_cycle
-from jfrbench.verify import certify
+from jfrbench.results import RunStats, SsspResult
+from jfrbench.verify import (certify, check_optimality_conditions,
+                             oracle_compare)
 
 STRICT_KS = (1, 2, 4, 8)
 
@@ -344,4 +347,59 @@ def test_criterion_11_one_negative_cycle_verdict():
            f"{'PASS' if ok else 'FAIL'} — {graphs} fuzzed multigraphs x "
            f"{len(solvers)} solvers, {splits} verdicts that split from "
            f"Bellman-Ford, {rejections} certify rejections of its own result")
+    assert ok
+
+
+AUDIT_LABELS = (math.inf, -math.inf, 0.0, SCALE, -SCALE, 2 * SCALE,
+                -2 * SCALE, 3 * SCALE)
+
+
+def audit_fuzz_candidate(rng, mutate):
+    """An adversarial (graph, unflagged result) pair for the audit.
+
+    The graph is a multigraph on n = 2-7 vertices with up to 3n edges of
+    whole-unit weight in [-2, 2], zero-weight cycles and negative cycles
+    included.  With ``mutate`` the result is Bellman-Ford's labels and
+    parents with up to two entries redrawn; otherwise every label and
+    parent is drawn, with dist[0] = 0 and no parent of 0 in 90% of draws.
+    """
+    n = rng.randint(2, 7)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v, w = rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)
+        if u != v or w >= 0:
+            edges.append((u, v, float(w)))
+    g = from_edge_list(EdgeListDoc(n, edges))
+    parents = [None, *range(n)]
+    if mutate:
+        r = bellman_ford(g, 0)
+        dist, parent = list(r.dist), list(r.parent)
+        for _ in range(rng.randint(0, 2)):
+            v = rng.randrange(n)
+            if rng.random() < 0.5:
+                dist[v] = rng.choice(AUDIT_LABELS)
+            else:
+                parent[v] = rng.choice(parents)
+    else:
+        dist = [rng.choice(AUDIT_LABELS) for _ in range(n)]
+        parent = [rng.choice(parents) for _ in range(n)]
+        if rng.random() < 0.9:
+            dist[0], parent[0] = 0.0, None
+    return g, SsspResult(dist, parent, False, RunStats(mode="external"))
+
+
+def test_criterion_12_audit_soundness_fuzz():
+    rng = random.Random(12)
+    candidates = accepted = unsound = 0
+    for i in range(20000):
+        g, claim = audit_fuzz_candidate(rng, mutate=i % 2 == 0)
+        candidates += 1
+        if check_optimality_conditions(g, 0, claim).ok:
+            accepted += 1
+            unsound += not oracle_compare(g, 0, claim).ok
+    ok = unsound == 0
+    report(f"ACCEPTANCE 12 audit soundness: {'PASS' if ok else 'FAIL'} — "
+           f"{candidates} adversarial candidates (half mutated Bellman-Ford "
+           f"results, half drawn labels and parents), {accepted} accepted "
+           f"by the audit, {unsound} of those rejected by the oracle")
     assert ok

@@ -257,7 +257,11 @@ def test_verify_wrong_source(capsys, tmp_path):
     result = tmp_path / "r.json"
     assert run_cli(capsys, "run", g, "--algo", "bf", "--source", "1",
                    "--out", str(result))[0] == 0
-    code, out, _ = run_cli(capsys, "verify", g, str(result), "--source", "0")
+    # labels from source 1, claimed for source 0
+    payload = strict_json(result.read_text())
+    payload["source"] = 0
+    result.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "verify", g, str(result))
     assert code == 1
     assert not strict_json(out)["distances_match"]
 

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import subprocess
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import jfrbench
 from jfrbench import graph
-from jfrbench.errors import (HeaderMismatch, IndexOutOfRange, JfrError,
-                             NegativeSelfLoop, NonFiniteWeight, ParseError)
+from jfrbench.errors import (GraphTooLarge, HeaderMismatch, IndexOutOfRange,
+                             InexactWeight, JfrError, NegativeSelfLoop,
+                             NonFiniteWeight, ParseError, SpecInvalid)
 from jfrbench.generators import generate
 from jfrbench.graph import (EdgeListDoc, from_edge_list, read_file, read_text,
                             write_file, write_text)
@@ -118,6 +120,22 @@ def test_from_edge_list_validation():
         from_edge_list(EdgeListDoc(2, [(1, 1, -0.25)]))
     # non-negative self-loops are harmless and allowed
     assert from_edge_list(EdgeListDoc(2, [(1, 1, 0.0)])).m == 1
+    # a library caller's bad values raise typed errors too, each after
+    # valid edges, so the culprit is found again on the error path
+    good = [(0, 1, 1.0), (1, 0, 2.0)]
+    for bad, error in (((0, 1, 10**400), InexactWeight),
+                       ((0, 1, "1.0"), NonFiniteWeight),
+                       ((0, 1, None), NonFiniteWeight),
+                       ((1.0, 1, 1.0), IndexOutOfRange),
+                       ((0, "1", 1.0), IndexOutOfRange),
+                       ((0, 1, Decimal("1")), InexactWeight)):
+        with pytest.raises(error):
+            from_edge_list(EdgeListDoc(2, good + [bad]))
+    for n in (2.5, -1, "2", None):
+        with pytest.raises(SpecInvalid):
+            from_edge_list(EdgeListDoc(n, []))
+    with pytest.raises(GraphTooLarge):
+        from_edge_list(EdgeListDoc(10**19, []))
 
 
 def test_out_edges_bounds():

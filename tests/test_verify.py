@@ -120,6 +120,34 @@ def test_optimality_rejects_parent_cycle():
     assert check_optimality_conditions(g, 0, bellman_ford(g, 0)).ok
 
 
+def test_optimality_rejects_minus_inf_without_a_tight_parent_edge():
+    # -inf is not +inf: such a label must hang off a tight parent edge too
+    g = triangle()
+    for parent in ([None, 0, 1], [None, 0, None]):
+        claim = SsspResult([0.0, 2e6, -math.inf], parent, False,
+                           RunStats(mode="external"))
+        report = check_optimality_conditions(g, 0, claim)
+        assert report.triangle_ok and not report.parent_ok, parent
+    # a -inf parent cycle is tight all round, and never meets the source
+    g = from_edge_list(EdgeListDoc(3, [(1, 2, 0.0), (2, 1, 0.0)]))
+    claim = SsspResult([0.0, -math.inf, -math.inf], [None, 2, 1], False,
+                       RunStats(mode="external"))
+    report = check_optimality_conditions(g, 0, claim)
+    assert report.triangle_ok and not report.parent_ok
+
+
+def test_optimality_ignores_a_parent_cycle_of_unreachable_vertices():
+    # 2 <-> 3 is a parent cycle the source never reaches; both labels are
+    # +inf, so neither needs a tight parent edge
+    g = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (2, 3, 1.0),
+                                       (3, 2, 1.0)]))
+    claim = SsspResult([0.0, 1e6, math.inf, math.inf], [None, 0, 3, 2],
+                       False, RunStats(mode="external"))
+    report = check_optimality_conditions(g, 0, claim)
+    assert report.triangle_ok and report.parent_ok
+    assert oracle_compare(g, 0, claim).ok
+
+
 def test_optimality_rejects_malformed_parents_without_raising():
     g = triangle()
     r = bellman_ford(g, 0)
