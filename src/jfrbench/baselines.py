@@ -29,11 +29,18 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
     """Reference solver: edge passes in CSR order until one improves
     nothing, or the n-th improves and flags.  A parent cycle that ends the
     last improved vertex's chain (so the source reaches it) flags sooner:
-    it is negative, so the n-th pass would improve."""
+    it is negative, so the n-th pass would improve.
+
+    A pass skips a vertex whose label has not changed since its out-edges
+    were last relaxed (Yen 1970): that scan left every head at most
+    ``d[u] + w`` and labels only fall, so the skipped scan would improve
+    nothing.  Labels, parents, passes and verdicts are plain
+    Bellman-Ford's; only the scans (``activations``, inspections) fall."""
     dist, parent, stats = start_run(g, source, "bf")
     n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
     activations, improvements = stats.activations, stats.improvements
+    scanned = [INF] * n  # the label u's out-edges were last relaxed at
     inspections = 0
     witness = None
     passes = 0
@@ -42,8 +49,9 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
         last = None  # the pass's last improved vertex
         for u in range(n):
             du = dist[u]
-            if du == INF:
+            if du == scanned[u]:  # unreached (inf), or relaxed at du
                 continue
+            scanned[u] = du
             activations[u] += 1
             lo, hi = offsets[u], offsets[u + 1]
             inspections += hi - lo

@@ -158,6 +158,9 @@ def from_edge_list(doc: EdgeListDoc) -> Graph:
         targets[slot] = head
         weights[slot] = weight
         cursor[tail] = slot + 1
+    # a float head passes the range test; an int sum holds no float term
+    if type(sum(targets)) is not int:
+        raise IndexOutOfRange("an edge head is not an int vertex")
     units = _units(weights)
     if units is None:
         raise InexactWeight("weights must be whole multiples of 1e-6 whose "

@@ -7,15 +7,18 @@ properties computed from stored ones.
 * ``edge_inspections`` — one count per evaluation of ``d[u] + w`` against
   ``d[v]``.  Every solver adds a scanned vertex's out-degree at once, as
   it starts the scan; tails with infinite distance are skipped outright
-  and contribute no inspections.  Inspections made inside multi-hop
-  propagation are included.
+  and contribute no inspections, and so is a ``bellman_ford`` tail whose
+  out-edges were last relaxed at its current label (scan-once).
+  Inspections made inside multi-hop propagation are included.
 * ``lmh_inspections`` (derived) — the inspections made inside multi-hop
   propagation: the sum over ``lmh_calls``.
 * ``successful_relaxations`` (derived) — inspections that strictly
   lowered a distance: ``sum(improvements)``.
 * ``activations[v]`` — how many times ``v`` entered the active set
-  (frontier entry, queue entry, or per-pass scan, depending on the mode;
-  for ``jfr_strict``, each frontier scan: an improved vertex that the
+  (frontier entry, queue entry, or scan, depending on the mode; for
+  ``bellman_ford``, each scan in a pass: a pass skips a vertex whose label
+  has not changed since its last scan, so that costs no activation; for
+  ``jfr_strict``, each frontier scan: an improved vertex that the
   round's propagation already scanned at its new label is not promoted,
   so it costs no activation; for ``jfr_pq``, each non-stale pop, which
   runs one propagation from ``v``, so its ``outer_iterations`` is

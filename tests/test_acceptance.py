@@ -24,7 +24,8 @@ from jfrbench.generators import (gen_slf_killer, gen_sparse_random, generate,
 from jfrbench.graph import SCALE, EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
 from jfrbench.metrics import bound_check, compare
-from jfrbench.paths import cycle_weight, detect_negative_cycle
+from jfrbench.paths import (cycle_weight, detect_negative_cycle,
+                            on_parent_cycle)
 from jfrbench.results import RunStats, SsspResult
 from jfrbench.verify import (certify, check_optimality_conditions,
                              oracle_compare)
@@ -402,4 +403,75 @@ def test_criterion_12_audit_soundness_fuzz():
            f"{candidates} adversarial candidates (half mutated Bellman-Ford "
            f"results, half drawn labels and parents), {accepted} accepted "
            f"by the audit, {unsound} of those rejected by the oracle")
+    assert ok
+
+
+def plain_bellman_ford(g, s):
+    """Bellman-Ford with its early exit but without scan-once: every pass
+    scans every finite vertex.  Returns its outputs and inspections."""
+    dist, parent = [math.inf] * g.n, [None] * g.n
+    dist[s] = 0.0
+    improvements = [0] * g.n
+    inspections = passes = 0
+    witness = None
+    for _ in range(g.n):
+        last = None
+        for u in range(g.n):
+            du = dist[u]
+            if du == math.inf:
+                continue
+            inspections += g.offsets[u + 1] - g.offsets[u]
+            for e in range(g.offsets[u], g.offsets[u + 1]):
+                v = g.targets[e]
+                if du + g.weights[e] < dist[v]:
+                    dist[v], parent[v] = du + g.weights[e], u
+                    improvements[v] += 1
+                    last = v
+        passes += 1
+        if last is None:
+            break
+        witness = on_parent_cycle(parent, last)
+        if witness is not None:
+            break
+    else:
+        witness = last
+    outputs = (dist, parent, witness is not None, witness, improvements,
+               passes)
+    return outputs, inspections
+
+
+def test_criterion_13_bellman_ford_scan_once():
+    seeds = range(42, 47)
+    families = {
+        "sparse-random 2000/10000": [generate("sparse-random", s, n=2000,
+                                              m=10000) for s in seeds],
+        "windmill 20x15": [generate("windmill", s, blades=20, blade_size=15)
+                           for s in seeds],
+        "neg-dense 500/30000": [generate("neg-dense", s, n=500, m=30000,
+                                         neg_fraction=0.3) for s in seeds],
+        "neg-dense 1000/5000": [generate("neg-dense", s, n=1000, m=5000,
+                                         neg_fraction=0.3) for s in seeds],
+        "pq-killer 16/2": [generate("pq-killer", 0, levels=16, detour=2)],
+        "neg-cycle 64 x 40/800": [plant_negative_cycle(generate(
+            "neg-dense", s, n=40, m=800, neg_fraction=0.3), 8, s, -0.5)
+            for s in range(1, 65)],
+    }
+    rows, differ, more = [], 0, 0
+    for family, graphs in families.items():
+        plain = scan_once = 0
+        for g in graphs:
+            outputs, inspections = plain_bellman_ford(g, 0)
+            r = bellman_ford(g, 0)
+            differ += outputs != (r.dist, r.parent, r.neg_cycle,
+                                  r.cycle_witness, r.stats.improvements,
+                                  r.stats.outer_iterations)
+            more += r.stats.edge_inspections > inspections
+            plain += inspections
+            scan_once += r.stats.edge_inspections
+        rows.append(f"{family} {plain} -> {scan_once}")
+    ok = differ == 0 and more == 0
+    report(f"ACCEPTANCE 13 Bellman-Ford scan-once: {'PASS' if ok else 'FAIL'}"
+           f" — plain -> scan-once inspections per family: "
+           f"{'; '.join(rows)}; {differ} graphs whose outputs differ, "
+           f"{more} with more inspections")
     assert ok

@@ -21,10 +21,10 @@ def test_bellman_ford_triangle():
     assert not r.neg_cycle
     s = r.stats
     assert s.mode == "bf"
-    assert s.edge_inspections == 6
+    assert s.edge_inspections == 3  # the confirming pass scans nothing
     assert s.successful_relaxations == 3
     assert s.outer_iterations == 2
-    assert s.activations == [2, 2, 2]
+    assert s.activations == [1, 1, 1]
     assert s.improvements == [0, 1, 2]  # vertex 2 improves via 5.0 then 1.0
 
 
@@ -43,6 +43,18 @@ def test_bellman_ford_chain_early_exit():
     r = bellman_ford(chain(5), 0)
     assert r.dist == [0.0, 1e6, 2e6, 3e6, 4e6]
     assert r.stats.outer_iterations == 2
+
+
+def test_bellman_ford_scans_each_slf_killer_vertex_once():
+    # the generator numbers vertices along the chain, so the first pass
+    # settles every label and the confirming pass scans nothing
+    g = generate("slf-killer", 42, n=2000)
+    r = bellman_ford(g, 0)
+    assert r.stats.outer_iterations == 2
+    reached = [u for u in range(g.n) if r.dist[u] != INF]
+    assert r.stats.activations == [int(d != INF) for d in r.dist]
+    assert r.stats.edge_inspections == sum(
+        g.offsets[u + 1] - g.offsets[u] for u in reached)
 
 
 def test_spfa_fifo_triangle():

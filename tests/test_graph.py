@@ -121,13 +121,15 @@ def test_from_edge_list_validation():
     # non-negative self-loops are harmless and allowed
     assert from_edge_list(EdgeListDoc(2, [(1, 1, 0.0)])).m == 1
     # a library caller's bad values raise typed errors too, each after
-    # valid edges, so the culprit is found again on the error path
+    # valid edges, so the culprit is found again on the error path (a
+    # float head raises nothing there, and is caught after the CSR build)
     good = [(0, 1, 1.0), (1, 0, 2.0)]
     for bad, error in (((0, 1, 10**400), InexactWeight),
                        ((0, 1, "1.0"), NonFiniteWeight),
                        ((0, 1, None), NonFiniteWeight),
                        ((1.0, 1, 1.0), IndexOutOfRange),
                        ((0, "1", 1.0), IndexOutOfRange),
+                       ((0, 1.0, 1.0), IndexOutOfRange),
                        ((0, 1, Decimal("1")), InexactWeight)):
         with pytest.raises(error):
             from_edge_list(EdgeListDoc(2, good + [bad]))

@@ -301,16 +301,21 @@ def test_every_solver_flags_exactly_when_bellman_ford_does(resolves, g):
 def n_pass_rule(g, s):
     """Plain Bellman-Ford: passes in CSR order until one improves nothing,
     flagging when all n passes improve.  Returns the flag, labels, parents
-    and inspections."""
+    and inspections, and the inspections left when a pass skips a vertex
+    whose label has not changed since its last scan (scan-once)."""
     dist, parent = [math.inf] * g.n, [None] * g.n
     dist[s] = 0.0
-    inspections = 0
+    scanned = [math.inf] * g.n
+    inspections = scan_once = 0
     for _ in range(g.n):
         improved = False
         for u in range(g.n):
             du = dist[u]
             if du == math.inf:
                 continue
+            if du != scanned[u]:
+                scanned[u] = du
+                scan_once += g.offsets[u + 1] - g.offsets[u]
             for e in range(g.offsets[u], g.offsets[u + 1]):
                 inspections += 1
                 v = g.targets[e]
@@ -318,20 +323,21 @@ def n_pass_rule(g, s):
                     dist[v], parent[v] = du + g.weights[e], u
                     improved = True
         if not improved:
-            return False, dist, parent, inspections
-    return True, dist, parent, inspections
+            return False, dist, parent, inspections, scan_once
+    return True, dist, parent, inspections, scan_once
 
 
 @settings(max_examples=400, deadline=None)
 @given(g=st.one_of(multigraphs(), multigraphs(DECIMALS, reverse=3)))
 @example(g=ZERO_CYCLE)
 def test_bellman_ford_returns_the_n_pass_verdict(g):
-    flag, dist, parent, inspections = n_pass_rule(g, 0)
+    flag, dist, parent, inspections, scan_once = n_pass_rule(g, 0)
     r = bellman_ford(g, 0)
     assert r.neg_cycle == flag
     if not flag:
         assert (r.dist, r.parent, r.stats.edge_inspections) \
-            == (dist, parent, inspections)
+            == (dist, parent, scan_once)
+        assert scan_once <= inspections
     elif r.stats.outer_iterations < g.n:  # left before the n-th pass
         assert cycle_weight(g, detect_negative_cycle(r, g)) < 0
 
