@@ -2,14 +2,14 @@
 
 All solvers share the relaxation convention: strict ``<`` with no epsilon,
 first writer wins on ties, distances start at ``inf`` except the source.
-Every solver flags a negative cycle on a parent cycle: weights are whole
-micro-units (:mod:`jfrbench.graph`), so sums are exact, every parent cycle
-of a label-correcting run is negative, and a label below the lightest
-simple path to its vertex has a chain that cannot reach the source
-(Cherkassky and Goldberg, "Negative-cycle detection algorithms", 1999).
-Bellman-Ford walks each pass's last improved vertex's chain, and flags an
-n-th pass that still improves; the queue-based solvers walk the popped
-vertex's each time their inspection count has doubled (first at n).
+Every solver flags a negative cycle in one way: an n-step parent walk
+that lands on a cycle.  Weights are whole micro-units, so sums are exact,
+every parent cycle of a label-correcting run is negative, and a label
+below the lightest simple path to its vertex, as any pass n improves, has
+a chain that cannot reach the source (Cherkassky and Goldberg,
+"Negative-cycle detection algorithms", 1999).  Bellman-Ford walks from
+each pass's last improved vertex; the queue-based solvers from the popped
+vertex each time their inspection count has doubled (first at n).
 """
 
 import heapq
@@ -27,9 +27,9 @@ INF = math.inf
 
 def bellman_ford(g: Graph, source: int) -> SsspResult:
     """Reference solver: edge passes in CSR order until one improves
-    nothing, or the n-th improves and flags.  A parent cycle that ends the
-    last improved vertex's chain (so the source reaches it) flags sooner:
-    it is negative, so the n-th pass would improve.
+    nothing, or until the last improved vertex's parent chain ends on a
+    cycle, which flags the run: the source reaches that cycle, and it is
+    negative.  A reachable negative cycle flags by pass n at the latest.
 
     A pass skips a vertex whose label has not changed since its out-edges
     were last relaxed (Yen 1970): that scan left every head at most
@@ -45,6 +45,7 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
     witness = None
     passes = 0
     t0 = time.perf_counter_ns()
+    # a label pass n improves is below every simple path, so its walk flags
     for _ in range(n):
         last = None  # the pass's last improved vertex
         for u in range(n):
@@ -69,8 +70,6 @@ def bellman_ford(g: Graph, source: int) -> SsspResult:
         witness = on_parent_cycle(parent, last)
         if witness is not None:
             break
-    else:  # the n-th pass still improved
-        witness = last
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.edge_inspections = inspections
     stats.outer_iterations = passes

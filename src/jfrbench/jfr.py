@@ -172,17 +172,15 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                 if not in_improved[v]:
                     in_improved[v] = True
                     improved.append(v)
-        # an improvement in iteration n or later is impossible without a
-        # reachable negative cycle; before that, baselines._spfa's parent
-        # walk runs at most once a round, once inspections have doubled
+        # the parent walk of baselines._spfa, from the round's first improved
+        # vertex once inspections have doubled; after round n - 1 every
+        # improved label is below all simple paths, so the walk flags
         inspections = frontier_inspections + stats.edge_inspections
-        if improved and outer >= n:
-            witness = improved[0]
-        elif improved and inspections >= next_walk:
+        if improved and inspections >= next_walk:
             witness = on_parent_cycle(parent, improved[0])
+            if witness is not None:
+                break
             next_walk = 2 * inspections
-        if witness is not None:
-            break
         # (c) promote each improved vertex (b) did not scan at its label
         frontier = []
         for v in improved:

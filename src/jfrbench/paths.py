@@ -94,12 +94,12 @@ def on_parent_cycle(parent: list, v: int) -> "int | None":
 def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
     """Extract a cycle from the parent pointers of a flagged run.
 
-    The solvers' ``cycle_witness`` lies on a parent cycle, or at least has
-    one up its chain: :func:`on_parent_cycle` walks to a vertex on it,
-    which is then peeled off and returned in forward edge order.  A
-    witness whose chain reaches a root raises BrokenParentChain.  A
-    result without a witness (one read from a file, say) gives the first
-    cycle of its parent graph; weigh it with :func:`cycle_weight`.
+    :func:`on_parent_cycle` walks from ``cycle_witness`` to a parent
+    cycle, which is peeled off and returned in forward edge order; a
+    solver's witness lies on that cycle already.  A witness whose chain
+    reaches a root raises BrokenParentChain.  A result without a witness
+    (one read from a file, say) gives the first cycle of its parent graph;
+    weigh it with :func:`cycle_weight`.
     """
     if not result.neg_cycle:
         raise NoCycleRecorded("result does not flag a negative cycle")

@@ -78,8 +78,7 @@ class SsspResult:
     parent: list["int | None"]
     neg_cycle: bool
     stats: RunStats
-    # a vertex on a parent cycle, or one improved in an n-th pass or round
-    # (bellman_ford, jfr_strict) whose parent chain leads into one
+    # a vertex on a parent cycle
     cycle_witness: "int | None" = None
 
 

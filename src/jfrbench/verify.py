@@ -14,7 +14,7 @@ authority for results imported from outside the package.
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import eq, not_
+from operator import eq
 
 from .baselines import bellman_ford
 from .errors import MissingEdge, NegCycleResult
@@ -99,8 +99,8 @@ def check_optimality_conditions(g: Graph, s: int,
                  and parent[s] is None)
     report = VerifyReport(parent_ok=parent_ok)
     # one pass over the edges: the triangle inequality, and which vertices
-    # have a tight edge from their parent
-    tight = [False] * n
+    # lack a tight edge from their parent
+    untight = [True] * n
     for u in range(n):
         du = dist[u]
         if du == _INF:
@@ -112,11 +112,11 @@ def check_optimality_conditions(g: Graph, s: int,
             if cand < dv:
                 report.triangle_ok = False
             elif parent_ok and cand == dv and parent[v] == u:
-                tight[v] = True
+                untight[v] = False
     if parent_ok:  # after the first test, a cycle is all +inf or has none
-        tight[s] = True
+        untight[s] = False
         report.parent_ok = (
-            all(map(eq, compress(dist, map(not_, tight)), repeat(_INF)))
+            all(map(eq, compress(dist, untight), repeat(_INF)))
             and all(dist[c[0]] == _INF for c in parent_cycles(parent)))
     return report
 

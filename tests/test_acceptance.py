@@ -335,19 +335,27 @@ def test_criterion_11_one_negative_cycle_verdict():
     solvers = [spfa_fifo, spfa_slf] + [
         partial(solve, k=k) for solve in (jfr_pq, jfr_strict) for k in (1, 2)]
     rng = random.Random(7)
-    graphs = splits = rejections = 0
+    graphs = splits = rejections = flagged = off_cycle = not_negative = 0
     for _ in range(3000):
         g = rounding_fuzz_graph(rng)
         oracle = bellman_ford(g, 0)
-        splits += sum(solve(g, 0).neg_cycle != oracle.neg_cycle
-                      for solve in solvers)
+        results = [solve(g, 0) for solve in solvers]
+        splits += sum(r.neg_cycle != oracle.neg_cycle for r in results)
         rejections += not certify(g, 0, oracle).ok
+        for r in (oracle, *results):
+            if r.neg_cycle:  # the witness lies on the cycle it leads to
+                cycle = detect_negative_cycle(r, g)
+                flagged += 1
+                off_cycle += r.cycle_witness not in cycle
+                not_negative += cycle_weight(g, cycle) >= 0
         graphs += 1
-    ok = splits == 0 and rejections == 0
+    ok = splits == 0 and rejections == 0 and off_cycle == not_negative == 0
     report(f"ACCEPTANCE 11 one negative-cycle verdict: "
            f"{'PASS' if ok else 'FAIL'} — {graphs} fuzzed multigraphs x "
            f"{len(solvers)} solvers, {splits} verdicts that split from "
-           f"Bellman-Ford, {rejections} certify rejections of its own result")
+           f"Bellman-Ford, {rejections} certify rejections of its own "
+           f"result; of {flagged} flagged results, {off_cycle} witnesses off "
+           f"their cycle and {not_negative} cycles not negative")
     assert ok
 
 

@@ -154,6 +154,7 @@ def test_graph_equality_compares_the_csr_arrays():
     c = from_edge_list(EdgeListDoc(3, [(0, 1, 2.0), (1, 2, -1.0),
                                        (0, 2, 5.5)]))
     assert a != c
+    assert a.__eq__(1) is NotImplemented and (a == 1) is False and a != 1
 
 
 def test_to_edge_list_round_trip():

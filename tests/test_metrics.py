@@ -58,6 +58,8 @@ def test_bound_check_mode_guard():
     s = jfr_strict(g, 0, 2).stats
     with pytest.raises(ModeMismatch):
         bound_check(s, g, 3)  # right mode, wrong depth
+    with pytest.raises(ModeMismatch):  # not a division by zero
+        bound_check(RunStats(mode="jfr-strict", k=0), g, 0)
 
 
 def test_bound_check_edgeless():
