@@ -15,11 +15,9 @@ Families
     like a near-uniform positive-weight graph; ``neg_fraction`` is hit by
     orienting a computed share of edges down-potential (never negative) or
     up-potential (negative whenever the potential gap exceeds ``w0``).
-    ``weight_hi`` (at least 1) sets the overall scale; ``weight_lo`` is
-    read only for ``neg_fraction = 0``, which degenerates to plain uniform
-    weights, and is an error otherwise.  There the weights start at
-    ``weight_lo``, or at the floor ``5e-4`` for the default ``weight_lo =
-    0``; a ``weight_lo`` strictly between 0 and the floor is an error.
+    At ``neg_fraction = 0`` every edge points down-potential, so no
+    weight is negative.  ``weight_hi`` (at least 1) sets the overall
+    scale.
 
 ``windmill``
     The classic windmill: ``blades`` bidirected complete graphs on
@@ -62,29 +60,23 @@ import random
 from .errors import SpecInvalid
 from .graph import EdgeListDoc, Graph, from_edge_list
 
-# where the weights of a neg-dense graph with no negative share start by
-# default: 500 micro-units, so none rounds to zero
-_W0_FLOOR = 5e-4
-
 
 def _r6(x: float) -> float:
     return round(x, 6)
 
 
-def _check_ranges(n, m, weight_lo, weight_hi, neg_fraction=0.0):
+def _check_ranges(n, m):
     if n < 1:
         raise SpecInvalid("n must be >= 1")
     if m < 0:
         raise SpecInvalid("m must be >= 0")
-    if not 0.0 <= weight_lo <= weight_hi:
-        raise SpecInvalid("weights need 0 <= weight_lo <= weight_hi")
-    if not 0.0 <= neg_fraction <= 1.0:
-        raise SpecInvalid("neg_fraction must be in [0, 1]")
 
 
 def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,
                       weight_hi: float = 10.0) -> Graph:
-    _check_ranges(n, m, weight_lo, weight_hi)
+    _check_ranges(n, m)
+    if not 0.0 <= weight_lo <= weight_hi:
+        raise SpecInvalid("weights need 0 <= weight_lo <= weight_hi")
     rng = random.Random(seed)
     edges = []
     for _ in range(m):
@@ -94,21 +86,13 @@ def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,
     return from_edge_list(EdgeListDoc(n, edges))
 
 
-def gen_neg_dense(n: int, m: int, seed: int, weight_lo: float = 0.0,
-                  weight_hi: float = 10.0,
+def gen_neg_dense(n: int, m: int, seed: int, weight_hi: float = 10.0,
                   neg_fraction: float = 0.3) -> Graph:
-    _check_ranges(n, m, weight_lo, weight_hi, neg_fraction)
-    if weight_hi < 1.0:
+    _check_ranges(n, m)
+    if not 0.0 <= neg_fraction <= 1.0:
+        raise SpecInvalid("neg_fraction must be in [0, 1]")
+    if not weight_hi >= 1.0:
         raise SpecInvalid(f"neg-dense needs weight_hi >= 1, got {weight_hi}")
-    if neg_fraction > 0.0 and weight_lo != 0.0:
-        raise SpecInvalid("neg-dense reads weight_lo only when "
-                          "neg_fraction = 0")
-    if neg_fraction == 0.0:  # plain positive weights, from the floor up
-        if 0.0 < weight_lo < _W0_FLOOR:
-            raise SpecInvalid(f"neg-dense needs weight_lo = 0 or >= "
-                              f"{_W0_FLOOR}, got {weight_lo}")
-        return gen_sparse_random(n, m, seed, max(weight_lo, _W0_FLOOR),
-                                 weight_hi)
     rng = random.Random(seed)
     f = neg_fraction
     spread = weight_hi
@@ -238,11 +222,10 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
 
 
 def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
-                         total_weight: float = -0.5,
-                         source: int = 0) -> Graph:
+                         total_weight: float = -0.5) -> Graph:
     """Fault injection for detection tests: append a cycle of
     ``cycle_len`` fresh edges whose weights sum to ``total_weight`` (< 0),
-    plus an edge making it reachable from ``source``.
+    plus an edge from vertex 0 to the cycle unless 0 lies on it.
     """
     if cycle_len < 2 or cycle_len > g.n:
         raise SpecInvalid("cycle_len must be in [2, n]")
@@ -251,8 +234,8 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
     rng = random.Random(seed)
     members = rng.sample(range(g.n), cycle_len)
     edges = g.to_edge_list().edges
-    if source not in members:
-        edges.append((source, members[0], _r6(rng.uniform(0.1, 1.0))))
+    if 0 not in members:
+        edges.append((0, members[0], _r6(rng.uniform(0.1, 1.0))))
     partial = 0.0
     for i in range(cycle_len - 1):
         w = _r6(rng.uniform(0.1, 1.0))

@@ -51,8 +51,9 @@ class LmhWorkspace:
     (hence queued for wave ``r + 1``); ``mark[v] >= first`` means v
     improved somewhere in the call; ``window[v] > c`` means a call begun
     after ``clock == c`` scanned v.  ``scanned[v]`` is the label at which a
-    call last relaxed v's out-edges (NaN: never).  Only calls write it;
-    ``jfr_strict``'s promotion and ``jfr_pq``'s queueing read it.
+    call last relaxed v's out-edges (NaN: never).  ``jfr_strict``'s
+    promotion also writes it, since the next hop relaxes a promoted vertex
+    at that label; ``jfr_pq``'s queueing reads it.
     """
 
     __slots__ = ("g", "dist", "parent", "stats", "clock", "window", "mark",
@@ -135,17 +136,15 @@ def lmh_propagate(ws: LmhWorkspace, seeds, k: int):
 def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     """Round-based jump-frontier relaxation with depth parameter ``k``."""
     dist, parent, stats = start_run(g, source, "jfr-strict", k)
-    n = g.n
     offsets, targets, weights = g.offsets, g.targets, g.weights
     activations, improvements = stats.activations, stats.improvements
     ws = LmhWorkspace(g, dist, parent, stats)
     scanned = ws.scanned
     frontier = [source]
     activations[source] = 1
-    in_improved = [False] * n
     frontier_inspections = 0
     outer = 0
-    next_walk = n
+    next_walk = g.n
     witness = None
     t0 = time.perf_counter_ns()
     while frontier:
@@ -163,15 +162,10 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
                     dist[v] = cand
                     parent[v] = u
                     improvements[v] += 1
-                    if not in_improved[v]:
-                        in_improved[v] = True
-                        improved.append(v)
+                    improved.append(v)
         # (b) let the new labels ripple up to k-1 further hops
         if k > 1 and improved:
-            for v in lmh_propagate(ws, improved, k - 1):
-                if not in_improved[v]:
-                    in_improved[v] = True
-                    improved.append(v)
+            improved += lmh_propagate(ws, improved, k - 1)
         # the parent walk of baselines._spfa, from the round's first improved
         # vertex once inspections have doubled; after round n - 1 every
         # improved label is below all simple paths, so the walk flags
@@ -181,11 +175,14 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
             if witness is not None:
                 break
             next_walk = 2 * inspections
-        # (c) promote each improved vertex (b) did not scan at its label
+        # (c) promote each improved vertex not yet scanned at its label;
+        # writing scanned[v] skips v's repeats but never its first entry,
+        # whose label fell this round, below any scanned[v] set before
         frontier = []
         for v in improved:
-            in_improved[v] = False
-            if dist[v] != scanned[v]:
+            dv = dist[v]
+            if dv != scanned[v]:
+                scanned[v] = dv
                 activations[v] += 1
                 frontier.append(v)
     stats.wall_time_ns = time.perf_counter_ns() - t0

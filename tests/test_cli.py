@@ -386,13 +386,13 @@ MALFORMED = {
     "gen-windmill-with-n-and-m": lambda tmp_path, graph: [
         "gen", "--family", "windmill", "--blades", "2", "--blade-size", "3",
         "--n", "500", "--m", "7"],
-    "gen-neg-dense-weight-lo-with-negative-share": lambda tmp_path, graph: [
+    "gen-neg-dense-weight-lo-does-not-apply": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--weight-lo", "5"],
     "gen-neg-dense-weight-hi-below-1": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--weight-hi", "0.5"],
-    "gen-neg-dense-weight-lo-below-floor": lambda tmp_path, graph: [
+    "gen-neg-dense-weight-lo-at-no-negative-share": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--neg-fraction", "0", "--weight-lo", "0.0001"],
     "run-graph-negative-header": lambda tmp_path, graph: [

@@ -28,9 +28,9 @@ PINNED = {
                          neg_fraction=0.6),
         "22d326757515e5707fd9e1ae17a7177c"),
     "neg-dense-no-negative-share": (
-        lambda: generate("neg-dense", 3, n=30, m=100, weight_lo=1.0,
-                         weight_hi=5.0, neg_fraction=0.0),
-        "b5a49910bcba41d289b97112ba8bfcc4"),
+        lambda: generate("neg-dense", 3, n=30, m=100, weight_hi=5.0,
+                         neg_fraction=0.0),
+        "13aa7639e081f8e1419dc5b95d2c324d"),
     "windmill-default": (
         lambda: generate("windmill", 3, blades=3, blade_size=4),
         "e417dabe20049d9de5d8ef53808105f3"),

@@ -21,11 +21,11 @@ def test_generator_validation():
             gen(0, 10, 1)
         with pytest.raises(SpecInvalid):
             gen(10, -1, 1)
-        with pytest.raises(SpecInvalid):
-            gen(10, 10, 1, weight_lo=5.0, weight_hi=1.0)
-        with pytest.raises(SpecInvalid):
-            gen(10, 10, 1, weight_lo=-1.0)
         assert gen(1, 0, 1).m == 0
+    with pytest.raises(SpecInvalid):
+        gen_sparse_random(10, 10, 1, weight_lo=5.0, weight_hi=1.0)
+    with pytest.raises(SpecInvalid):
+        gen_sparse_random(10, 10, 1, weight_lo=-1.0)
     for f in (-0.1, 1.5):
         with pytest.raises(SpecInvalid):
             gen_neg_dense(10, 10, 1, neg_fraction=f)
@@ -54,6 +54,8 @@ def test_neg_dense_fraction_is_respected():
         g = gen_neg_dense(300, 20000, 7, neg_fraction=f)
         measured = sum(1 for w in g.weights if w < 0) / g.m
         assert abs(measured - f) < 0.04, (f, measured)
+        if f == 0.0:  # every edge points down-potential
+            assert min(g.weights) > 0
 
 
 def test_neg_dense_has_no_negative_cycle_anywhere():
@@ -129,16 +131,6 @@ def test_more_edges_extend_the_same_graph():
                 assert g2.out_edges(u)[:len(old)] == old, (family, seed, u)
 
 
-def test_base_weights_below_the_floor_are_errors():
-    # weight_lo = 0 means "from the floor"; any other bound the floor
-    # would raise is rejected rather than silently changed
-    floor = 5e-4
-    assert gen_neg_dense(10, 20, 1, weight_lo=0.0, neg_fraction=0.0) == \
-        gen_neg_dense(10, 20, 1, weight_lo=floor, neg_fraction=0.0)
-    with pytest.raises(SpecInvalid):
-        gen_neg_dense(10, 20, 1, weight_lo=1e-4, neg_fraction=0.0)
-
-
 def test_plant_negative_cycle_reachable_and_negative():
     base = gen_sparse_random(40, 120, 8)
     g = plant_negative_cycle(base, 5, seed=8)
@@ -184,7 +176,7 @@ def test_family_params_come_from_the_generator_signatures():
     assert list(FAMILIES) == ["sparse-random", "neg-dense", "windmill",
                               "slf-killer", "pq-killer"]
     assert list(family_params("neg-dense")) == [
-        "n", "m", "weight_lo", "weight_hi", "neg_fraction"]
+        "n", "m", "weight_hi", "neg_fraction"]
     assert family_params("neg-dense")["neg_fraction"].default == 0.3
     assert family_params("windmill")["blades"].annotation is int
     assert list(family_params("slf-killer")) == ["n"]
@@ -192,6 +184,25 @@ def test_family_params_come_from_the_generator_signatures():
     for bad in ("bogus", ["slf-killer"]):
         with pytest.raises(SpecInvalid):
             family_params(bad)
+
+
+def test_every_family_parameter_changes_the_graph():
+    # a knob that changes nothing gets deleted: for each parameter with a
+    # default, a valid other value must give other bytes
+    base = {"sparse-random": {"n": 20, "m": 60},
+            "neg-dense": {"n": 20, "m": 60},
+            "windmill": {"blades": 2, "blade_size": 3},
+            "slf-killer": {"n": 20}, "pq-killer": {"levels": 3, "detour": 1}}
+    other = {"weight_lo": lambda d: d + 1.0, "weight_hi": lambda d: 2 * d,
+             "neg_fraction": lambda d: 2 * d}
+    assert list(base) == list(FAMILIES)
+    for family, params in base.items():
+        plain = graph_bytes(generate(family, 1, **params))
+        for name, p in family_params(family).items():
+            if p.default is not p.empty:
+                value = other[name](p.default)
+                g = generate(family, 1, **params, **{name: value})
+                assert graph_bytes(g) != plain, (family, name, value)
 
 
 def test_pq_killer_shape_and_seed_independence():
