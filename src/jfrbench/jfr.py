@@ -53,7 +53,8 @@ class LmhWorkspace:
     after ``clock == c`` scanned v.  ``scanned[v]`` is the label at which a
     call last relaxed v's out-edges (NaN: never).  ``jfr_strict``'s
     promotion also writes it, since the next hop relaxes a promoted vertex
-    at that label; ``jfr_pq``'s queueing reads it.
+    at that label, save a sink, which has none; ``jfr_pq``'s queueing
+    reads it.
     """
 
     __slots__ = ("g", "dist", "parent", "stats", "clock", "window", "mark",
@@ -142,12 +143,13 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
     scanned = ws.scanned
     frontier = [source]
     activations[source] = 1
+    promoted = True
     frontier_inspections = 0
     outer = 0
     next_walk = g.n
     witness = None
     t0 = time.perf_counter_ns()
-    while frontier:
+    while promoted:
         outer += 1
         improved: list = []
         # (a) one relaxation hop out of the frontier
@@ -177,14 +179,19 @@ def jfr_strict(g: Graph, source: int, k: int) -> SsspResult:
             next_walk = 2 * inspections
         # (c) promote each improved vertex not yet scanned at its label;
         # writing scanned[v] skips v's repeats but never its first entry,
-        # whose label fell this round, below any scanned[v] set before
+        # whose label fell this round, below any scanned[v] set before.
+        # A promoted sink counts its activation but joins no frontier: its
+        # scan would relax nothing at 0 inspections
         frontier = []
+        promoted = False
         for v in improved:
             dv = dist[v]
             if dv != scanned[v]:
                 scanned[v] = dv
                 activations[v] += 1
-                frontier.append(v)
+                promoted = True
+                if offsets[v] != offsets[v + 1]:
+                    frontier.append(v)
     stats.wall_time_ns = time.perf_counter_ns() - t0
     stats.edge_inspections += frontier_inspections
     stats.outer_iterations = outer

@@ -60,11 +60,13 @@ def bound_check(stats: RunStats, g: Graph, k: int) -> BoundReport:
     """Audit the per-run amortized activation bound for strict-depth runs.
 
     lhs counts the frontier hop's edge scans: each activation of v is one
-    scan of its deg(v) out-edges, so lhs is exactly ``edge_inspections -
-    lmh_inspections``; rhs is deg-sum plus improvements weighted by deg
-    and discounted by the hop depth k.  ``holds`` allows an additive n
-    for the one-time initial activations.  Raises ModeMismatch unless the
-    stats came from a strict-depth run with the same k.
+    scan of its deg(v) out-edges, save a promoted sink's, which is counted
+    but never scanned and adds deg = 0 either way, so lhs is exactly
+    ``edge_inspections - lmh_inspections``; rhs is deg-sum plus
+    improvements weighted by deg and discounted by the hop depth k.
+    ``holds`` allows an additive n for the one-time initial activations.
+    Raises ModeMismatch unless the stats came from a strict-depth run with
+    the same k.
     """
     if stats.mode != "jfr-strict":
         raise ModeMismatch(f"stats are from mode {stats.mode!r}, "

@@ -18,9 +18,11 @@ properties computed from stored ones.
   (frontier entry, queue entry, or scan, depending on the mode; for
   ``bellman_ford``, each scan in a pass: a pass skips a vertex whose label
   has not changed since its last scan, so that costs no activation; for
-  ``jfr_strict``, each frontier scan: an improved vertex that the
-  round's propagation already scanned at its new label is not promoted,
-  so it costs no activation; for ``jfr_pq``, each non-stale pop, which
+  ``jfr_strict``, each promotion to the frontier: an improved vertex that
+  the round's propagation already scanned at its new label is not
+  promoted, so it costs no activation, and a promoted sink counts one
+  activation but is never scanned, since its scan would relax nothing at
+  0 inspections; for ``jfr_pq``, each non-stale pop, which
   runs one propagation from ``v``, so its ``outer_iterations`` is
   ``sum(activations)``).  Stale priority-queue pops are skipped and never
   counted as activations.
@@ -38,7 +40,8 @@ properties computed from stored ones.
 Every solver starts from :func:`start_run`: the source at label 0 and
 every other vertex at ``inf`` with no parent, and a ``RunStats`` whose
 ``activations`` and ``improvements`` hold one zero per vertex.  It also
-rejects a source outside ``[0, n)`` and a depth ``k < 1``.
+rejects a source that is not an ``int`` in ``[0, n)`` (``True`` and
+``0.0`` included) and a depth ``k < 1``.
 """
 
 import math
@@ -83,8 +86,8 @@ class SsspResult:
 
 
 def check_source(g, source: int) -> None:
-    if not 0 <= source < g.n:
-        raise IndexOutOfRange(f"source {source} not in [0, {g.n})")
+    if type(source) is not int or not 0 <= source < g.n:
+        raise IndexOutOfRange(f"source {source!r} not in [0, {g.n})")
 
 
 def start_run(g, source: int, mode: str, k: "int | None" = None):

@@ -7,6 +7,7 @@ and 6.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -22,11 +23,11 @@ from jfrbench.cli import DESK_SUITE, main, run_algorithm
 from jfrbench.generators import (gen_slf_killer, gen_sparse_random, generate,
                                  plant_negative_cycle)
 from jfrbench.graph import SCALE, EdgeListDoc, from_edge_list
-from jfrbench.jfr import jfr_pq, jfr_strict
+from jfrbench.jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from jfrbench.metrics import bound_check, compare
 from jfrbench.paths import (cycle_weight, detect_negative_cycle,
                             on_parent_cycle)
-from jfrbench.results import RunStats, SsspResult
+from jfrbench.results import RunStats, SsspResult, start_run
 from jfrbench.verify import (certify, check_optimality_conditions,
                              oracle_compare)
 
@@ -448,9 +449,11 @@ def plain_bellman_ford(g, s):
     return outputs, inspections
 
 
-def test_criterion_13_bellman_ford_scan_once():
+def scan_once_families():
+    """The six families on which criteria 13 and 14 compare a solver with
+    its plain loop."""
     seeds = range(42, 47)
-    families = {
+    return {
         "sparse-random 2000/10000": [generate("sparse-random", s, n=2000,
                                               m=10000) for s in seeds],
         "windmill 20x15": [generate("windmill", s, blades=20, blade_size=15)
@@ -464,8 +467,11 @@ def test_criterion_13_bellman_ford_scan_once():
             "neg-dense", s, n=40, m=800, neg_fraction=0.3), 8, s, -0.5)
             for s in range(1, 65)],
     }
+
+
+def test_criterion_13_bellman_ford_scan_once():
     rows, differ, more = [], 0, 0
-    for family, graphs in families.items():
+    for family, graphs in scan_once_families().items():
         plain = scan_once = 0
         for g in graphs:
             outputs, inspections = plain_bellman_ford(g, 0)
@@ -482,4 +488,84 @@ def test_criterion_13_bellman_ford_scan_once():
            f" — plain -> scan-once inspections per family: "
            f"{'; '.join(rows)}; {differ} graphs whose outputs differ, "
            f"{more} with more inspections")
+    assert ok
+
+
+def plain_jfr_strict(g, s, k):
+    """``jfr_strict`` with every promoted vertex, sinks included, kept in
+    the next frontier and scanned there.  Returns its result, the frontier
+    entries it scanned and how many of those were sinks."""
+    dist, parent, stats = start_run(g, s, "jfr-strict", k)
+    ws = LmhWorkspace(g, dist, parent, stats)
+    frontier = [s]
+    stats.activations[s] = 1
+    frontier_inspections = outer = entries = sinks = 0
+    next_walk = g.n
+    witness = None
+    while frontier:
+        outer += 1
+        entries += len(frontier)
+        improved = []
+        for u in frontier:
+            du = dist[u]
+            lo, hi = g.offsets[u], g.offsets[u + 1]
+            sinks += lo == hi
+            frontier_inspections += hi - lo
+            for e in range(lo, hi):
+                v = g.targets[e]
+                if du + g.weights[e] < dist[v]:
+                    dist[v], parent[v] = du + g.weights[e], u
+                    stats.improvements[v] += 1
+                    improved.append(v)
+        if k > 1 and improved:
+            improved += lmh_propagate(ws, improved, k - 1)
+        inspections = frontier_inspections + stats.edge_inspections
+        if improved and inspections >= next_walk:
+            witness = on_parent_cycle(parent, improved[0])
+            if witness is not None:
+                break
+            next_walk = 2 * inspections
+        frontier = []
+        for v in improved:
+            if dist[v] != ws.scanned[v]:
+                ws.scanned[v] = dist[v]
+                stats.activations[v] += 1
+                frontier.append(v)
+    stats.edge_inspections += frontier_inspections
+    stats.outer_iterations = outer
+    return (SsspResult(dist, parent, witness is not None, stats, witness),
+            entries, sinks)
+
+
+def outputs_and_counters(r):
+    counters = dataclasses.asdict(r.stats)
+    del counters["wall_time_ns"]
+    return r.dist, r.parent, r.neg_cycle, r.cycle_witness, counters
+
+
+def test_criterion_14_jfr_strict_skips_sinks():
+    families = scan_once_families()
+    # the benchmark's slf-killer ladder at seed 1
+    families["slf-killer 200/600/2000"] = [
+        generate("slf-killer", s, n=n) for s, n in ((1, 200), (2, 600),
+                                                    (3, 2000))]
+    rows, differ = [], 0
+    for family, graphs in families.items():
+        entries = sinks = 0
+        for g in graphs:
+            same = True
+            for k in (1, 2, 3):
+                plain, scanned, scanned_sinks = plain_jfr_strict(g, 0, k)
+                same &= (outputs_and_counters(plain)
+                         == outputs_and_counters(jfr_strict(g, 0, k)))
+                if k == 2:
+                    entries += scanned
+                    sinks += scanned_sinks
+            differ += not same
+        rows.append(f"{family} {entries} ({sinks} sinks)")
+    ok = differ == 0
+    report(f"ACCEPTANCE 14 jfr_strict skips sinks: {'PASS' if ok else 'FAIL'}"
+           f" — frontier entries the plain loop scanned at k = 2 per family: "
+           f"{'; '.join(rows)}; {differ} graphs whose outputs or counters "
+           f"differ at k = 1, 2 or 3")
     assert ok

@@ -129,7 +129,7 @@ def test_jfr_strict_chain_k1():
     assert r.dist == [0.0, 1e6, 2e6, 3e6]
     s = r.stats
     assert s.mode == "jfr-strict" and s.k == 1
-    assert s.outer_iterations == 4  # last iteration scans {3}, improves nothing
+    assert s.outer_iterations == 4  # the last scans nothing: 3 is a sink
     assert s.activations == [1, 1, 1, 1]
     assert s.edge_inspections == 3
     assert s.lmh_inspections == 0 and s.lmh_calls == []
@@ -146,6 +146,23 @@ def test_jfr_strict_chain_deep_k_converges_in_one_iteration():
     assert s.edge_inspections == 3
     assert s.lmh_inspections == 2
     assert s.lmh_calls == [(3, 2, 2)]
+
+
+def test_jfr_strict_counts_a_promoted_sink_without_scanning_it():
+    # the leaves 1, 2 and 3 are sinks
+    star = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (0, 2, 2.0),
+                                          (0, 3, 3.0)]))
+    # k = 1: each leaf is promoted and counts one activation, and the
+    # round that promoted only sinks still counts
+    s = jfr_strict(star, 0, 1).stats
+    assert s.activations == [1, 1, 1, 1]
+    assert (s.outer_iterations, s.edge_inspections) == (2, 3)
+    # k = 2: the propagation scans the leaves as its seeds, so none is
+    # promoted
+    s = jfr_strict(star, 0, 2).stats
+    assert s.activations == [1, 0, 0, 0]
+    assert (s.outer_iterations, s.edge_inspections) == (1, 3)
+    assert s.lmh_calls == [(1, 0, 0)]
 
 
 def test_jfr_strict_matches_bf_across_k():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import potential_graph, rule_before_certify, triangle
+from conftest import chain, potential_graph, rule_before_certify, triangle
 from jfrbench import graph, verify
 from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
                                 spfa_slf)
@@ -484,6 +484,29 @@ def test_certify_checks_the_source_and_the_label_count():
         certify(g, 3, r)
     r.dist = r.dist[:2]
     assert certify(g, 0, r) == rule_before_certify(g, 0, r)
+
+
+# every entry point that takes a source, each called as f(g, source)
+SOURCE_TAKERS = {
+    "bellman_ford": bellman_ford,
+    "spfa_fifo": spfa_fifo,
+    "spfa_slf": spfa_slf,
+    "dijkstra_oracle": dijkstra_oracle,
+    "jfr_strict": partial(jfr_strict, k=2),
+    "jfr_pq": jfr_pq,
+    "check_optimality_conditions": lambda g, s: check_optimality_conditions(
+        g, s, bellman_ford(g, 0)),
+    "certify": lambda g, s: certify(g, s, bellman_ford(g, 0)),
+}
+
+
+@pytest.mark.parametrize("source", [0.0, True], ids=repr)
+@pytest.mark.parametrize("taker", SOURCE_TAKERS)
+def test_a_source_that_is_not_an_int_is_rejected(taker, source):
+    # without a type check, 0.0 ends in an untyped TypeError and True runs
+    # from vertex 1
+    with pytest.raises(IndexOutOfRange):
+        SOURCE_TAKERS[taker](chain(3), source)
 
 
 # --- the CLI reaches its verdicts without a re-solve ---
