@@ -52,13 +52,23 @@ the suite and the CLI flags all read it.  All randomness comes from
 identical parameters give byte-identical graphs.
 Weights are rounded to 6 decimal digits, the whole micro-units that
 :mod:`jfrbench.graph` requires.
+
+The edge loops of ``sparse-random``, ``neg-dense`` and ``windmill`` draw
+inline what ``rng.randrange(n)`` and ``rng.uniform(a, b)`` draw:
+``getrandbits(n.bit_length())`` redrawn while it is >= n, and
+``a + (b - a) * random()``.  That is those methods' own code on CPython
+3.6-3.13, so the stream, and every graph's bytes, stay as they were
+(``tests/test_generator_draws.py`` compares against the method calls).
+Each edge goes straight into its tail's bucket, and
+:func:`jfrbench.graph.from_columns` builds the graph with no loop per edge.
 """
 
 import inspect
 import random
+from itertools import chain, repeat
 
 from .errors import SpecInvalid
-from .graph import EdgeListDoc, Graph, from_edge_list
+from .graph import EdgeListDoc, Graph, from_columns, from_edge_list
 
 
 def _r6(x: float) -> float:
@@ -66,10 +76,18 @@ def _r6(x: float) -> float:
 
 
 def _check_ranges(n, m):
-    if n < 1:
-        raise SpecInvalid("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise SpecInvalid("n must be an int >= 1")
     if m < 0:
         raise SpecInvalid("m must be >= 0")
+
+
+def _from_buckets(n: int, heads: list, weights: list) -> Graph:
+    """The graph whose vertex ``u`` has out-edges ``heads[u]`` weighing
+    ``weights[u]`` rounded to 6 digits, in that order."""
+    tails = list(chain.from_iterable(map(repeat, range(n), map(len, heads))))
+    return from_columns(n, tails, list(chain.from_iterable(heads)), list(map(
+        round, chain.from_iterable(weights), repeat(6))))
 
 
 def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,
@@ -78,12 +96,20 @@ def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,
     if not 0.0 <= weight_lo <= weight_hi:
         raise SpecInvalid("weights need 0 <= weight_lo <= weight_hi")
     rng = random.Random(seed)
-    edges = []
+    bits, rand, k = rng.getrandbits, rng.random, n.bit_length()
+    span = weight_hi - weight_lo
+    heads = [[] for _ in range(n)]
+    weights = [[] for _ in range(n)]
     for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        edges.append((u, v, _r6(rng.uniform(weight_lo, weight_hi))))
-    return from_edge_list(EdgeListDoc(n, edges))
+        u = bits(k)  # u = rng.randrange(n)
+        while u >= n:
+            u = bits(k)
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        heads[u].append(v)
+        weights[u].append(weight_lo + span * rand())  # rng.uniform
+    return _from_buckets(n, heads, weights)
 
 
 def gen_neg_dense(n: int, m: int, seed: int, weight_hi: float = 10.0,
@@ -94,9 +120,11 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_hi: float = 10.0,
     if not weight_hi >= 1.0:
         raise SpecInvalid(f"neg-dense needs weight_hi >= 1, got {weight_hi}")
     rng = random.Random(seed)
+    bits, rand, k = rng.getrandbits, rng.random, n.bit_length()
     f = neg_fraction
     spread = weight_hi
-    potentials = [_r6(rng.uniform(0.0, spread)) for _ in range(n)]
+    # rng.uniform(0.0, spread): 0.0 + (spread - 0.0) * r is spread * r
+    potentials = [round(spread * rand(), 6) for _ in range(n)]
     # Base weights live in one narrow band.  High fractions need the band
     # pushed toward zero (an up-potential edge goes negative only when the
     # potential gap exceeds w0), so it shrinks once f passes one half, but
@@ -105,6 +133,7 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_hi: float = 10.0,
     scale = max(0.08, min(1.0, 2.0 * (1.0 - f)))
     w0_hi = 0.10 * spread * scale
     w0_lo = 0.8 * w0_hi
+    w0_span = w0_hi - w0_lo
     # For potentials uniform on [0, spread], an up-potential edge is
     # negative with probability q = E[(1 - w0/spread)^2].  Forcing shares
     # of edges to point down-potential (always positive) or up-potential
@@ -115,20 +144,27 @@ def gen_neg_dense(n: int, m: int, seed: int, weight_hi: float = 10.0,
         force_pos, force_neg = 1.0 - 2.0 * f / q, 0.0
     else:
         force_pos, force_neg = 0.0, min(1.0, 2.0 * f / q - 1.0)
-    edges = []
+    force_any = force_pos + force_neg
+    heads = [[] for _ in range(n)]
+    weights = [[] for _ in range(n)]
     for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        w0 = rng.uniform(w0_lo, w0_hi)
-        r = rng.random()
+        u = bits(k)  # u = rng.randrange(n)
+        while u >= n:
+            u = bits(k)
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        w0 = w0_lo + w0_span * rand()  # rng.uniform(w0_lo, w0_hi)
+        r = rand()
         if r < force_pos:
             if potentials[u] < potentials[v]:
                 u, v = v, u
-        elif r < force_pos + force_neg:
+        elif r < force_any:
             if potentials[u] > potentials[v]:
                 u, v = v, u
-        edges.append((u, v, _r6(w0 + potentials[u] - potentials[v])))
-    return from_edge_list(EdgeListDoc(n, edges))
+        heads[u].append(v)
+        weights[u].append(w0 + potentials[u] - potentials[v])
+    return _from_buckets(n, heads, weights)
 
 
 def gen_windmill(blades: int, blade_size: int, seed: int,
@@ -140,16 +176,19 @@ def gen_windmill(blades: int, blade_size: int, seed: int,
     if weight_lo <= 0 or weight_lo > weight_hi:
         raise SpecInvalid("windmill weights must be positive")
     rng = random.Random(seed)
+    rand, span = rng.random, weight_hi - weight_lo
     n = blades * (blade_size - 1) + 1
-    edges = []
+    heads = [[] for _ in range(n)]
+    weights = [[] for _ in range(n)]
     for b in range(blades):
         start = 1 + b * (blade_size - 1)
         members = [0] + list(range(start, start + blade_size - 1))
         for x in members:
             for y in members:
                 if x != y:
-                    edges.append((x, y, _r6(rng.uniform(weight_lo, weight_hi))))
-    return from_edge_list(EdgeListDoc(n, edges))
+                    heads[x].append(y)
+                    weights[x].append(weight_lo + span * rand())  # uniform
+    return _from_buckets(n, heads, weights)
 
 
 def gen_slf_killer(n: int, seed: int) -> Graph:

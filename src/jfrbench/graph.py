@@ -11,9 +11,12 @@ The text format is line-oriented ASCII: a header ``n m``, then one ``tail
 head weight`` line per edge (0-based endpoints, LF line endings).  Lines
 starting with ``#`` are comments and do not count toward ``m``.  Canonical
 text is exactly what ``write_text`` writes: ``n m\n``, then ``t h w\n``
-lines with single spaces, ASCII digits and tails in CSR order.
-``read_file`` reads it straight into CSR arrays; it reads any other text
-through ``read_text`` and ``from_edge_list``, which raise every error.
+lines with single spaces, ASCII digits and tails in CSR order.  Both
+readers scan canonical bytes a 16-KiB slice at a time, with no Python loop
+per line or edge: ``read_file`` into CSR arrays through ``from_columns``,
+``read_text`` into its document.  Any other text goes through
+``read_text``'s line loop and ``from_edge_list``, which raise every error.
+The generators build through ``from_columns`` too, from per-tail buckets.
 
 A ``Graph`` holds each weight ``w`` as integer micro-units ``w * SCALE``
 in a float; their magnitudes sum to at most 2^52, so every path sum is
@@ -32,6 +35,7 @@ from .errors import (
     HeaderMismatch,
     IndexOutOfRange,
     InexactWeight,
+    JfrError,
     NegativeSelfLoop,
     NonFiniteWeight,
     ParseError,
@@ -81,17 +85,20 @@ class Graph:
         lo, hi = self.offsets[u], self.offsets[u + 1]
         return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
 
+    def _tails(self):
+        offsets = self.offsets
+        return chain.from_iterable(map(repeat, range(self.n),
+                                       map(sub, offsets[1:], offsets)))
+
     def edges(self):
         """Iterate all edges as ``(tail, head, weight)`` in CSR order."""
-        offsets = self.offsets
-        return zip(chain.from_iterable(map(repeat, range(self.n),
-                                           map(sub, offsets[1:], offsets))),
-                   self.targets, self.weights)
+        return zip(self._tails(), self.targets, self.weights)
 
     def to_edge_list(self) -> EdgeListDoc:
         """The edge list, weights in whole units, that builds this graph."""
-        return EdgeListDoc(self.n, [(u, v, w / SCALE)
-                                    for u, v, w in self.edges()])
+        return EdgeListDoc(self.n, list(zip(
+            self._tails(), self.targets,
+            map(truediv, self.weights, repeat(SCALE)))))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -104,17 +111,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _units(weights) -> "list | None":
-    """``weights`` as integer-valued floats of micro-units, or None if one
-    is not finite or off the grid, or if |weights| sum past MAX_UNITS."""
+def _units(weights) -> list:
+    """``weights`` as integer-valued floats of micro-units.  Raises
+    NonFiniteWeight if one is not finite, else InexactWeight if one is off
+    the grid or if |weights| sum past MAX_UNITS."""
     try:  # float.__round__ is 2x round(); copysign keeps a zero's sign
         units = list(map(math.copysign, map(float.__round__, map(
             mul, weights, repeat(SCALE))), weights))
     except (OverflowError, TypeError, ValueError):  # inf, NaN, not a float
-        return None
-    exact = (sum(map(abs, units)) <= MAX_UNITS
-             and list(map(truediv, units, repeat(SCALE))) == weights)
-    return units if exact else None
+        units = None
+    if units is None or not (
+            sum(map(abs, units)) <= MAX_UNITS
+            and list(map(truediv, units, repeat(SCALE))) == weights):
+        if not all(map(math.isfinite, weights)):
+            raise NonFiniteWeight("an edge weight is not finite")
+        raise InexactWeight("weights must be whole multiples of 1e-6 whose "
+                            f"magnitudes sum to at most {MAX_UNITS / SCALE}")
+    return units
 
 
 def from_edge_list(doc: EdgeListDoc) -> Graph:
@@ -161,11 +174,31 @@ def from_edge_list(doc: EdgeListDoc) -> Graph:
     # a float head passes the range test; an int sum holds no float term
     if type(sum(targets)) is not int:
         raise IndexOutOfRange("an edge head is not an int vertex")
+    return Graph(n, offsets, targets, _units(weights))
+
+
+def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
+    """Build a CSR graph from int edge columns whose tails are already in
+    CSR order (nondecreasing), with every check at C speed.
+
+    Raises what :func:`from_edge_list` raises on these edges (GraphTooLarge,
+    IndexOutOfRange, NonFiniteWeight, InexactWeight, NegativeSelfLoop), and
+    SpecInvalid for tails out of order.
+    """
+    try:
+        offsets = [0] * (n + 1)
+    except (MemoryError, OverflowError):
+        raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
+    if not all(map(le, tails, islice(tails, 1, None))):
+        raise SpecInvalid("edge tails are not in CSR order")
+    if tails and (tails[0] < 0 or tails[-1] >= n
+                  or min(heads) < 0 or max(heads) >= n):
+        raise IndexOutOfRange(f"an edge endpoint is not in [0, {n})")
     units = _units(weights)
-    if units is None:
-        raise InexactWeight("weights must be whole multiples of 1e-6 whose "
-                            f"magnitudes sum to at most {MAX_UNITS / SCALE}")
-    return Graph(n, offsets, targets, units)
+    if min(compress(units, map(eq, tails, heads)), default=0) < 0:
+        raise NegativeSelfLoop("a self-loop has negative weight")
+    offsets[1:] = map(bisect_right, repeat(tails), range(n))
+    return Graph(n, offsets, heads, units)
 
 
 def write_text(doc: EdgeListDoc) -> bytes:
@@ -177,9 +210,52 @@ def write_text(doc: EdgeListDoc) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+_CANONICAL_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")
+# matched and split a slice at a time, so sre's backtracking stack and the
+# tokens stay small (a possessive *+ bounds the stack too, but needs 3.11)
+_CANONICAL_LINES = re.compile(rb"(?:[0-9]+ [0-9]+ [-+.e0-9]+\n)*")
+_SLICE_BYTES = 1 << 14
+
+
+def _scan_canonical(data: bytes) -> "tuple | None":
+    """``(n, tails, heads, weights)`` of canonical text, scanned with no
+    loop per line or edge, or None for any other text."""
+    header = _CANONICAL_HEADER.match(data)
+    if header is None:
+        return None
+    tails, heads, weights = [], [], []
+    start = header.end()
+    try:
+        n, m = int(header[1]), int(header[2])
+        while start < len(data):
+            # newline-aligned slices; the last one runs to the end
+            end = data.find(b"\n", start + _SLICE_BYTES) + 1 or len(data)
+            if _CANONICAL_LINES.fullmatch(data, start, end) is None:
+                return None
+            tokens = data[start:end].split()
+            tails += map(int, islice(tokens, 0, None, 3))
+            heads += map(int, islice(tokens, 1, None, 3))
+            weights += map(float, islice(tokens, 2, None, 3))
+            start = end
+    except (ValueError, MemoryError):
+        return None
+    return (n, tails, heads, weights) if len(tails) == m else None
+
+
 def read_text(data: "bytes | str") -> EdgeListDoc:
     """Parse edge-list text.  Raises ParseError with the offending line
-    number, or HeaderMismatch when the declared edge count is wrong."""
+    number, or HeaderMismatch when the declared edge count is wrong.
+    Canonical bytes are scanned at C speed, any other text a line at a
+    time; both give the same document."""
+    columns = _scan_canonical(data) if isinstance(data, bytes) else None
+    if columns is not None:
+        n, tails, heads, weights = columns
+        return EdgeListDoc(n, list(zip(tails, heads, weights)))
+    return _read_lines(data)
+
+
+def _read_lines(data: "bytes | str") -> EdgeListDoc:
+    """:func:`read_text` a line at a time, for any text."""
     # latin-1 maps each byte to one character, so the check covers both
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     if not text.isascii():
@@ -222,44 +298,16 @@ def read_text(data: "bytes | str") -> EdgeListDoc:
     return EdgeListDoc(n, edges)
 
 
-_CANONICAL_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")
-# matched and split a slice at a time, so sre's backtracking stack and the
-# tokens stay small (a possessive *+ bounds the stack too, but needs 3.11)
-_CANONICAL_LINES = re.compile(rb"(?:[0-9]+ [0-9]+ [-+.e0-9]+\n)*")
-_SLICE_BYTES = 1 << 14
-
-
 def _read_canonical(data: bytes) -> "Graph | None":
-    """The graph of canonical text, read with no loop per line or edge, or
-    None for any text or check that ``read_text`` should judge."""
-    header = _CANONICAL_HEADER.match(data)
-    if header is None:
+    """The graph of canonical text, or None for any text or check that
+    ``read_text`` and ``from_edge_list`` should judge."""
+    columns = _scan_canonical(data)
+    if columns is None:
         return None
-    tails, heads, weights = [], [], []
-    start = header.end()
     try:
-        n, m = int(header[1]), int(header[2])
-        while start < len(data):
-            # newline-aligned slices; the last one runs to the end
-            end = data.find(b"\n", start + _SLICE_BYTES) + 1 or len(data)
-            if _CANONICAL_LINES.fullmatch(data, start, end) is None:
-                return None
-            tokens = data[start:end].split()
-            tails += map(int, islice(tokens, 0, None, 3))
-            heads += map(int, islice(tokens, 1, None, 3))
-            weights += map(float, islice(tokens, 2, None, 3))
-            start = end
-        offsets = [0] * (n + 1)  # a huge n fails here, before any loop
-    except (ValueError, MemoryError, OverflowError):
+        return from_columns(*columns)
+    except JfrError:
         return None
-    units = _units(weights)
-    if units is None or len(tails) != m or m and (
-            tails[-1] >= n or max(heads) >= n
-            or not all(map(le, tails, islice(tails, 1, None)))
-            or min(compress(units, map(eq, tails, heads)), default=0) < 0):
-        return None
-    offsets[1:] = map(bisect_right, repeat(tails), range(n))
-    return Graph(n, offsets, heads, units)
 
 
 def read_file(path) -> Graph:

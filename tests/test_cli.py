@@ -19,10 +19,12 @@ from conftest import rule_before_certify
 from jfrbench import cli
 from jfrbench.baselines import bellman_ford
 from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
+from jfrbench.errors import SpecInvalid
 from jfrbench.generators import (FAMILIES, family_params, generate,
                                  plant_negative_cycle)
 from jfrbench.graph import SCALE, from_edge_list, read_text, write_file
 from jfrbench.results import RunStats, SsspResult
+from jfrbench.verify import check_optimality_conditions
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +313,10 @@ GOOD_RESULT = {"source": 0, "neg_cycle": False, "dist": [0.0, 1.0, 2.0],
                "parent": [None, 0, 1]}
 
 
+# entries that are not a vertex of TRIPLE's graph
+BAD_PARENTS = {"true": True, "float": 1.0, "minus-one": -1, "n": 3}
+
+
 def _file_arg(tmp_path, name, text):
     path = tmp_path / name
     if isinstance(text, bytes):
@@ -423,6 +429,9 @@ MALFORMED = {
         {**GOOD_RESULT, "parent": [None, 0]}),
     "verify-parent-empty": _verify_with({**GOOD_RESULT, "parent": []}),
     "verify-parent-false": _verify_with({**GOOD_RESULT, "parent": False}),
+    **{f"verify-parent-{name}": _verify_with(
+        {**GOOD_RESULT, "parent": [None, 0, bad]})
+       for name, bad in BAD_PARENTS.items()},
     "verify-source-string": _verify_with({**GOOD_RESULT, "source": "0"}),
     "verify-nan-label": _verify_with(
         {**GOOD_RESULT, "dist": [0.0, "nan", 2.0]}),
@@ -690,3 +699,20 @@ def test_suite_fuzz_ends_in_csv_or_a_one_line_error(tmp_path, spec):
     # test_parallel_edges_are_not_a_negative_cycle)
     assert rows and all(r["check"] in ("PASS", "FAIL")
                         or r["check"].startswith("SKIPPED") for r in rows)
+
+
+@pytest.mark.parametrize("bad", BAD_PARENTS.values(), ids=BAD_PARENTS)
+def test_a_parent_that_is_not_a_vertex_fails_the_cli_and_the_audit(
+        tmp_path, bad):
+    g = from_edge_list(read_text(TRIPLE))
+    parent = [None, 0, bad]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({**GOOD_RESULT, "parent": parent}))
+    with pytest.raises(SpecInvalid):
+        cli._load_result(path, g)
+    claim = SsspResult([0.0, SCALE, 2 * SCALE], parent, False,
+                       RunStats(mode="external"))
+    report = check_optimality_conditions(g, 0, claim)
+    assert report.triangle_ok and not report.parent_ok
+    claim.parent = [None, 0, 1]
+    assert check_optimality_conditions(g, 0, claim).ok

@@ -21,6 +21,8 @@ def test_generator_validation():
             gen(0, 10, 1)
         with pytest.raises(SpecInvalid):
             gen(10, -1, 1)
+        with pytest.raises(SpecInvalid):
+            gen(10.0, 10, 1)  # the inline draws need an int n
         assert gen(1, 0, 1).m == 0
     with pytest.raises(SpecInvalid):
         gen_sparse_random(10, 10, 1, weight_lo=5.0, weight_hi=1.0)

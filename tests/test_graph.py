@@ -257,6 +257,16 @@ def _outcome(read, arg):
     return g.n, g.offsets, g.targets, [repr(w) for w in g.weights]
 
 
+def _doc_outcome(read, arg):
+    """What ``read`` makes of ``arg``: the document, weights by repr, or
+    the error with its message (which carries the line number)."""
+    try:
+        doc = read(arg)
+    except JfrError as exc:
+        return type(exc), str(exc)
+    return doc.n, [(u, v, repr(w)) for u, v, w in doc.edges]
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(graph_texts())
@@ -272,21 +282,50 @@ def test_read_file_agrees_with_the_line_loop(tmp_path, data):
     path = tmp_path / "g.txt"
     path.write_bytes(data)
     assert _outcome(read_file, path) == _outcome(
-        lambda d: from_edge_list(read_text(d)), data)
+        lambda d: from_edge_list(graph._read_lines(d)), data)
+    # read_text scans canonical bytes; str input takes the line loop
+    lines = _doc_outcome(graph._read_lines, data)
+    assert _doc_outcome(read_text, data) == lines
+    assert _doc_outcome(read_text, data.decode("ascii")) == lines
 
 
 def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
     g = generate("neg-dense", 5, n=1000, m=5000, neg_fraction=0.3)
     path = tmp_path / "g.txt"
     write_file(path, g)
-    assert path.stat().st_size > 3 * graph._SLICE_BYTES  # several slices
+    data = path.read_bytes()
+    assert len(data) > 3 * graph._SLICE_BYTES  # several slices
+    want = _doc_outcome(graph._read_lines, data)
 
     def line_loop(data):
-        raise AssertionError("canonical text went through read_text")
-    monkeypatch.setattr(graph, "read_text", line_loop)
+        raise AssertionError("canonical text went through the line loop")
+    monkeypatch.setattr(graph, "_read_lines", line_loop)
     got = read_file(path)
     assert got == g and list(map(repr, got.weights)) == \
         list(map(repr, g.weights))
+    assert _doc_outcome(read_text, data) == want
+    assert from_edge_list(read_text(data)) == g
+    with pytest.raises(AssertionError, match="line loop"):
+        read_text(data.decode("ascii"))  # str input is read a line at a time
+    with pytest.raises(AssertionError, match="line loop"):
+        read_text(b"# a comment\n" + data)
+
+
+def test_read_text_keeps_line_numbers_off_the_canonical_path():
+    canonical = b"3 2\n0 1 1.5\n1 2 2.0\n"
+    assert read_text(canonical) == EdgeListDoc(3, [(0, 1, 1.5), (1, 2, 2.0)])
+    for data, line_no in ((b"3 2\n0 1 1.5\n1 2 x\n", 3),
+                          (b"3 2\n0 1 1e\n1 2 2.0\n", 2),
+                          (b"3 2\n0 1\n1 2 2.0\n", 2),
+                          (b"3\n0 1 1.5\n", 1)):
+        for arg in (data, data.decode("ascii")):
+            with pytest.raises(ParseError) as info:
+                read_text(arg)
+            assert info.value.line_no == line_no, arg
+    for data in (b"3 3\n0 1 1.5\n1 2 2.0\n", b"3 1\n0 1 1.5\n1 2 2.0\n"):
+        for arg in (data, data.decode("ascii")):
+            with pytest.raises(HeaderMismatch):
+                read_text(arg)
 
 
 def _declared_python_floor():
