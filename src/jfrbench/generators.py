@@ -84,10 +84,15 @@ def _check_ranges(n, m):
 
 def _from_buckets(n: int, heads: list, weights: list) -> Graph:
     """The graph whose vertex ``u`` has out-edges ``heads[u]`` weighing
-    ``weights[u]`` rounded to 6 digits, in that order."""
-    tails = list(chain.from_iterable(map(repeat, range(n), map(len, heads))))
-    return from_columns(n, tails, list(chain.from_iterable(heads)), list(map(
-        round, chain.from_iterable(weights), repeat(6))))
+    ``weights[u]`` rounded to 6 digits, in that order.  Empties both
+    bucket lists, so they are freed before the graph's checks run."""
+    columns = (n, list(chain.from_iterable(map(repeat, range(n),
+                                                map(len, heads)))),
+               list(chain.from_iterable(heads)),
+               list(map(round, chain.from_iterable(weights), repeat(6))))
+    heads.clear()
+    weights.clear()
+    return from_columns(*columns)
 
 
 def gen_sparse_random(n: int, m: int, seed: int, weight_lo: float = 0.0,

@@ -15,7 +15,8 @@ lines with single spaces, ASCII digits and tails in CSR order.  Both
 readers scan canonical bytes a 16-KiB slice at a time, with no Python loop
 per line or edge: ``read_file`` into CSR arrays through ``from_columns``,
 ``read_text`` into its document.  Any other text goes through
-``read_text``'s line loop and ``from_edge_list``, which raise every error.
+``read_text``'s line loop and ``from_edge_list``, which raise every error;
+``read_file`` hands scanned columns that fail a check to ``from_edge_list``.
 The generators build through ``from_columns`` too, from per-tail buckets.
 
 A ``Graph`` holds each weight ``w`` as integer micro-units ``w * SCALE``
@@ -298,22 +299,17 @@ def _read_lines(data: "bytes | str") -> EdgeListDoc:
     return EdgeListDoc(n, edges)
 
 
-def _read_canonical(data: bytes) -> "Graph | None":
-    """The graph of canonical text, or None for any text or check that
-    ``read_text`` and ``from_edge_list`` should judge."""
-    columns = _scan_canonical(data)
-    if columns is None:
-        return None
-    try:
-        return from_columns(*columns)
-    except JfrError:
-        return None
-
-
 def read_file(path) -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
-    return _read_canonical(data) or from_edge_list(read_text(data))
+    columns = _scan_canonical(data)
+    if columns is None:
+        return from_edge_list(_read_lines(data))
+    try:
+        return from_columns(*columns)
+    except JfrError:  # from_edge_list judges these edges and names the error
+        n, tails, heads, weights = columns
+        return from_edge_list(EdgeListDoc(n, list(zip(tails, heads, weights))))
 
 
 def write_file(path, g: Graph) -> None:

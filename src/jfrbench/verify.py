@@ -23,7 +23,6 @@ from .paths import cycle_weight, parent_cycles
 from .results import SsspResult, check_source
 
 _INF = float("inf")
-_NONE = type(None)
 
 
 @dataclass
@@ -67,13 +66,9 @@ def oracle_compare(g: Graph, s: int, candidate: SsspResult) -> VerifyReport:
 
 def well_formed_parents(parent, n: int) -> bool:
     """Whether ``parent`` has ``n`` entries, each None or a vertex in
-    [0, n).  C-level passes: every type is int or None (so neither
-    ``True`` nor ``1.0``), then the range of the entries that filter(None)
-    keeps (it drops 0, which is a vertex whenever any is)."""
-    if len(parent) != n or not set(map(type, parent)) <= {int, _NONE}:
-        return False
-    vertices = list(filter(None, parent))
-    return not vertices or (min(vertices) >= 0 and max(vertices) < n)
+    [0, n)."""
+    return len(parent) == n and all(
+        p is None or (type(p) is int and 0 <= p < n) for p in parent)
 
 
 def check_optimality_conditions(g: Graph, s: int,

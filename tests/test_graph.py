@@ -299,8 +299,13 @@ def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
 
     def line_loop(data):
         raise AssertionError("canonical text went through the line loop")
+
+    def edge_loop(doc):
+        raise AssertionError("canonical text went through from_edge_list")
     monkeypatch.setattr(graph, "_read_lines", line_loop)
-    got = read_file(path)
+    with monkeypatch.context() as patch:  # read_file builds from columns
+        patch.setattr(graph, "from_edge_list", edge_loop)
+        got = read_file(path)
     assert got == g and list(map(repr, got.weights)) == \
         list(map(repr, g.weights))
     assert _doc_outcome(read_text, data) == want

@@ -358,7 +358,7 @@ def test_weights_that_micro_units_cannot_sum_exactly_are_rejected(
         with pytest.raises(InexactWeight):
             from_edge_list(EdgeListDoc(3, edges))
         text = write_text(EdgeListDoc(3, edges))
-        assert graph._read_canonical(text) is None  # left to the line loop
+        assert graph._scan_canonical(text) is not None  # read_file scans it
         for data in (text, b"# not canonical\n" + text):
             path.write_bytes(data)
             with pytest.raises(InexactWeight):
