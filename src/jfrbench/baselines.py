@@ -12,12 +12,10 @@ each pass's last improved vertex; the queue-based solvers from the popped
 vertex each time their inspection count has doubled (first at n).
 """
 
-import heapq
 import math
 import time
 from collections import deque
 
-from .errors import NegativeWeightPresent
 from .graph import Graph
 from .paths import on_parent_cycle
 from .results import SsspResult, start_run
@@ -135,42 +133,3 @@ def spfa_slf(g: Graph, source: int) -> SsspResult:
     """SPFA with the smallest-label-first deque heuristic."""
     return _spfa(g, source, slf=True)
 
-
-def dijkstra_oracle(g: Graph, source: int) -> SsspResult:
-    """Lazy-deletion Dijkstra.  Only valid on non-negative weights; used as
-    an independent oracle there."""
-    dist, parent, stats = start_run(g, source, "dijkstra")
-    for w in g.weights:
-        if w < 0:
-            raise NegativeWeightPresent(f"negative weight {w}")
-    offsets, targets, weights = g.offsets, g.targets, g.weights
-    activations, improvements = stats.activations, stats.improvements
-    heap = [(0.0, source)]
-    activations[source] = 1
-    inspections = 0
-    pops = 0
-    stale = 0
-    t0 = time.perf_counter_ns()
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du != dist[u]:
-            stale += 1
-            continue
-        pops += 1
-        lo, hi = offsets[u], offsets[u + 1]
-        inspections += hi - lo
-        for e in range(lo, hi):
-            cand = du + weights[e]
-            v = targets[e]
-            if cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                improvements[v] += 1
-                activations[v] += 1
-                heapq.heappush(heap, (cand, v))
-    stats.wall_time_ns = time.perf_counter_ns() - t0
-    stats.edge_inspections = inspections
-    stats.queue_pushes = sum(activations)
-    stats.stale_pops = stale
-    stats.outer_iterations = pops
-    return SsspResult(dist, parent, False, stats)

@@ -27,9 +27,8 @@ import math
 import statistics
 import sys
 
-from .baselines import bellman_ford, dijkstra_oracle, spfa_fifo, spfa_slf
-from .errors import (JfrError, NegativeWeightPresent, SpecInvalid,
-                     UnknownAlgorithm)
+from .baselines import bellman_ford, spfa_fifo, spfa_slf
+from .errors import JfrError, SpecInvalid, UnknownAlgorithm
 from .generators import FAMILIES, family_params, generate
 from .graph import SCALE, Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
@@ -40,8 +39,7 @@ from .verify import certify, well_formed_parents
 SCHEMA_TAG = "#schema=1"  # suite rows
 COMPARE_SCHEMA_TAG = "#schema=3"  # compare rows
 ALGORITHMS = {"bf": bellman_ford, "spfa": spfa_fifo, "slf": spfa_slf,
-              "jfr-strict": jfr_strict, "jfr-pq": jfr_pq,
-              "dijkstra": dijkstra_oracle}
+              "jfr-strict": jfr_strict, "jfr-pq": jfr_pq}
 READS_K = ("jfr-strict", "jfr-pq")  # the algorithms called with a depth k
 
 SPEC_KEYS = ("seed", "repetitions", "k", "algorithms", "entries")
@@ -259,18 +257,14 @@ def _entry_id(entry):
 
 def _suite_instance(spec, entry, i):
     """Run every selected algorithm on instance i of a suite entry; per
-    algorithm, give its counts and check, or why it was skipped."""
+    algorithm, give its counts and check."""
     seed = spec.get("seed", 0) + i
     g = generate(entry["family"], seed,
                  **{key: v for key, v in entry.items() if key != "family"})
     k = _k_for(spec["algorithms"], spec.get("k"))
     out = {}
     for algo in spec["algorithms"]:
-        try:
-            result = run_algorithm(algo, g, 0, k)
-        except NegativeWeightPresent as exc:
-            out[algo] = f"SKIPPED: {exc}"
-            continue
+        result = run_algorithm(algo, g, 0, k)
         s = result.stats
         out[algo] = (s.wall_time_ns, s.edge_inspections,
                      s.successful_relaxations, s.outer_iterations,
@@ -288,16 +282,12 @@ def cmd_suite(args) -> int:
         n, m, _ = runs[0]
         for algo in spec["algorithms"]:
             vals = [run[2][algo] for run in runs]
-            row = [_entry_id(entry), entry["family"], n, m, algo, reps]
-            skipped = [v for v in vals if isinstance(v, str)]
-            if skipped:
-                rows.append(row + ["", "", "", "", skipped[0]])
-                continue
             median_ns = int(statistics.median(v[0] for v in vals))
             means = [f"{statistics.fmean(v[c] for v in vals):.1f}"
                      for c in (1, 2, 3)]
             check = "PASS" if all(v[4] == "PASS" for v in vals) else "FAIL"
-            rows.append(row + [median_ns, *means, check])
+            rows.append([_entry_id(entry), entry["family"], n, m, algo, reps,
+                         median_ns, *means, check])
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
     _write_csv(args.out, SCHEMA_TAG,
                ["id", "family", "n", "m", "algorithm", "instances", "time_ns",

@@ -49,14 +49,6 @@ class SpecInvalid(JfrError):
 
 # --- algorithms ---
 
-class NegativeWeightPresent(JfrError):
-    """The Dijkstra oracle was handed a graph with a negative edge."""
-
-
-class Unreachable(JfrError):
-    """Path reconstruction requested for a vertex with infinite distance."""
-
-
 class NoCycleRecorded(JfrError):
     """Cycle extraction requested on a result that did not flag a negative
     cycle."""
@@ -67,8 +59,7 @@ class MissingEdge(JfrError):
 
 
 class BrokenParentChain(JfrError):
-    """Parent pointers that loop before reaching the source, or that end
-    before a walk meets the cycle it looks for."""
+    """A cycle witness whose parent chain ends before it meets a cycle."""
 
 
 # --- metrics ---
@@ -82,8 +73,7 @@ class ModeMismatch(JfrError):
 
 
 class NegCycleResult(JfrError):
-    """Optimality conditions and paths are undefined for a negative-cycle
-    result."""
+    """Optimality conditions are undefined for a negative-cycle result."""
 
 
 # --- CLI ---

@@ -1,29 +1,8 @@
-"""Path reconstruction and negative-cycle certificate extraction."""
+"""Negative-cycle certificates: parent-graph walks and cycle weights."""
 
-import math
-
-from .errors import (BrokenParentChain, MissingEdge, NegCycleResult,
-                     NoCycleRecorded, Unreachable)
+from .errors import BrokenParentChain, MissingEdge, NoCycleRecorded
 from .graph import Graph
 from .results import SsspResult
-
-
-def reconstruct_path(result: SsspResult, v: int) -> list:
-    """Vertex sequence from the source to ``v`` along parent pointers."""
-    if result.neg_cycle:
-        raise NegCycleResult("paths are undefined on a negative-cycle result")
-    if result.dist[v] == math.inf:
-        raise Unreachable(f"vertex {v} has infinite distance")
-    parent = result.parent
-    seq = [v]
-    cur = v
-    while parent[cur] is not None:
-        cur = parent[cur]
-        seq.append(cur)
-        if len(seq) > len(parent):
-            raise BrokenParentChain("parent pointers form a cycle")
-    seq.reverse()
-    return seq
 
 
 def _min_edge_weight(g: Graph, tail: int, head: int) -> float:

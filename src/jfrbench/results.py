@@ -26,8 +26,8 @@ properties computed from stored ones.
   runs one propagation from ``v``, so its ``outer_iterations`` is
   ``sum(activations)``).  Stale priority-queue pops are skipped and never
   counted as activations.
-* ``queue_pushes`` — entries into the queue or heap.  SPFA and Dijkstra
-  count an activation at each push, so there it is ``sum(activations)``.
+* ``queue_pushes`` — entries into the queue or heap.  SPFA counts an
+  activation at each push, so there it is ``sum(activations)``.
   ``jfr_pq`` defers a vertex improved after its pass scanned it to the
   next pass's heap: one push, and no activation or stale pop by itself.
   It never pushes a sink (no out-edges), so a sink never costs a pop.

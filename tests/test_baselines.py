@@ -4,9 +4,7 @@ from functools import partial
 import pytest
 
 from conftest import chain, potential_graph, triangle
-from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
-                                spfa_slf)
-from jfrbench.errors import NegativeWeightPresent
+from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.generators import generate, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
@@ -103,20 +101,6 @@ def test_negative_cycle_unreachable_is_ignored():
         assert r.dist[:2] == [0.0, 1e6] and r.dist[2] == INF
 
 
-def test_dijkstra_rejects_negative_weights():
-    with pytest.raises(NegativeWeightPresent):
-        dijkstra_oracle(triangle(), 0)
-
-
-def test_dijkstra_matches_bf_on_nonnegative():
-    for seed in range(40):
-        g = potential_graph(50, 180, seed, mixed=False)
-        want = bellman_ford(g, 0)
-        got = dijkstra_oracle(g, 0)
-        assert got.dist == want.dist
-        assert not got.neg_cycle
-
-
 def test_spfa_variants_match_bf_on_mixed_sign():
     for seed in range(300):
         g = potential_graph(20 + seed % 41, 120, seed)
@@ -139,7 +123,7 @@ def test_stats_bookkeeping_consistency():
 
 def test_source_out_of_range():
     from jfrbench.errors import IndexOutOfRange
-    for alg in (bellman_ford, spfa_fifo, spfa_slf, dijkstra_oracle):
+    for alg in (bellman_ford, spfa_fifo, spfa_slf):
         with pytest.raises(IndexOutOfRange):
             alg(potential_graph(5, 5, 1, mixed=False), 5)
 

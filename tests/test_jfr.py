@@ -265,6 +265,26 @@ def test_jfr_pq_matches_bf():
         assert not got.neg_cycle
 
 
+def test_jfr_pq_k1_is_dijkstra_on_nonnegative_weights():
+    # at k = 1 on non-negative weights the pops come in label order, so
+    # each reached vertex is scanned at most once, at its final label
+    graphs = [potential_graph(50, 180, seed, mixed=False)
+              for seed in range(40)]
+    for seed in range(42, 47):
+        graphs += [
+            generate("sparse-random", seed, n=300, m=3000),
+            generate("sparse-random", seed, n=200, m=800, weight_hi=0.0),
+            generate("windmill", seed, blades=5, blade_size=6),
+            generate("neg-dense", seed, n=200, m=1000, neg_fraction=0.0)]
+    for i, g in enumerate(graphs):
+        r = jfr_pq(g, 0, k=1)
+        assert r.dist == bellman_ford(g, 0).dist and not r.neg_cycle, i
+        reached = [v for v in range(g.n) if r.dist[v] != INF]
+        assert r.stats.edge_inspections == \
+            sum(g.out_degree(v) for v in reached), i
+        assert max(r.stats.activations) == 1, i
+
+
 def test_jfr_pq_negative_cycle():
     g = from_edge_list(EdgeListDoc(4, [(0, 1, 1.0), (1, 2, -1.0),
                                        (2, 3, -1.0), (3, 1, 1.5)]))

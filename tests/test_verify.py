@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import chain, potential_graph, rule_before_certify, triangle
 from jfrbench import graph, verify
-from jfrbench.baselines import (bellman_ford, dijkstra_oracle, spfa_fifo,
-                                spfa_slf)
+from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
 from jfrbench.cli import main
 from jfrbench.errors import IndexOutOfRange, InexactWeight, NegCycleResult
 from jfrbench.generators import (gen_slf_killer, generate,
@@ -170,7 +169,7 @@ def test_optimality_accepts_every_solver():
             assert report.ok, (i, solve)
     for seed in range(20):
         g = potential_graph(60, 300, seed, mixed=False)
-        r = dijkstra_oracle(g, 0)
+        r = jfr_pq(g, 0, k=1)
         assert check_optimality_conditions(g, 0, r).ok, seed
 
 
@@ -249,7 +248,7 @@ def test_certify_vouches_for_every_solver_without_resolving(resolves):
             assert report == rule_before_certify(g, 0, r), (i, solve)
     for seed in range(6):
         g = potential_graph(50, 250, seed, mixed=False)
-        r = dijkstra_oracle(g, 0)
+        r = jfr_pq(g, 0, k=1)
         assert certify(g, 0, r) == rule_before_certify(g, 0, r)
     assert resolves == []
 
@@ -491,7 +490,6 @@ SOURCE_TAKERS = {
     "bellman_ford": bellman_ford,
     "spfa_fifo": spfa_fifo,
     "spfa_slf": spfa_slf,
-    "dijkstra_oracle": dijkstra_oracle,
     "jfr_strict": partial(jfr_strict, k=2),
     "jfr_pq": jfr_pq,
     "check_optimality_conditions": lambda g, s: check_optimality_conditions(
