@@ -29,7 +29,7 @@ import sys
 
 from .baselines import bellman_ford, spfa_fifo, spfa_slf
 from .errors import JfrError, SpecInvalid, UnknownAlgorithm
-from .generators import FAMILIES, family_params, generate
+from .generators import FAMILIES, check_param, family_params, generate
 from .graph import SCALE, Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
 from .metrics import compare
@@ -234,12 +234,8 @@ def _validate_suite(spec):
                 continue
             _expect(key in reads, f"a {entry['family']} entry takes "
                     f"{', '.join(reads)}; unknown key", key)
-            kinds = (int,) if reads[key].annotation is int else (int, float)
-            _expect(value is None or type(value) in kinds, f"entry {key!r} "
-                    f"must be {' or '.join(t.__name__ for t in kinds)}", value)
-            _expect(kinds == (int,) or value is None
-                    or abs(value) < 2 ** 1024,  # finite as a float
-                    f"entry {key!r} must be a finite number", value)
+            if value is not None:
+                check_param(reads[key], value)
     ids = [_entry_id(entry) for entry in entries]
     _expect(len(set(ids)) == len(ids), "two entries share an id", ids)
 

@@ -59,16 +59,20 @@ inline what ``rng.randrange(n)`` and ``rng.uniform(a, b)`` draw:
 ``a + (b - a) * random()``.  That is those methods' own code on CPython
 3.6-3.13, so the stream, and every graph's bytes, stay as they were
 (``tests/test_generator_draws.py`` compares against the method calls).
-Each edge goes straight into its tail's bucket, and
-:func:`jfrbench.graph.from_columns` builds the graph with no loop per edge.
+Each edge goes straight into its tail's bucket.  Every family, and
+``plant_negative_cycle``, builds its graph through
+:func:`jfrbench.graph.from_columns`, the one builder that judges every
+edge (``slf-killer`` and ``pq-killer`` by way of ``from_edge_list``).
 """
 
 import inspect
 import random
+from bisect import bisect_right
 from itertools import chain, repeat
+from operator import truediv
 
 from .errors import SpecInvalid
-from .graph import EdgeListDoc, Graph, from_columns, from_edge_list
+from .graph import SCALE, EdgeListDoc, Graph, from_columns, from_edge_list
 
 
 def _r6(x: float) -> float:
@@ -277,7 +281,7 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
         raise SpecInvalid("total_weight must be negative")
     rng = random.Random(seed)
     members = rng.sample(range(g.n), cycle_len)
-    edges = g.to_edge_list().edges
+    edges = []
     if 0 not in members:
         edges.append((0, members[0], _r6(rng.uniform(0.1, 1.0))))
     partial = 0.0
@@ -286,7 +290,13 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
         partial += w
         edges.append((members[i], members[i + 1], w))
     edges.append((members[-1], members[0], _r6(total_weight - partial)))
-    return from_edge_list(EdgeListDoc(g.n, edges))
+    columns = (g.tails(), g.targets[:],
+               list(map(truediv, g.weights, repeat(SCALE))))
+    for edge in edges:  # after its tail's edges, so the tails stay sorted
+        i = bisect_right(columns[0], edge[0])
+        for column, value in zip(columns, edge):
+            column.insert(i, value)
+    return from_columns(g.n, *columns)
 
 
 FAMILIES = {
@@ -312,17 +322,30 @@ def family_params(family: str) -> dict:
     return _PARAMS[family]
 
 
+def check_param(p: inspect.Parameter, value) -> None:
+    """Raise SpecInvalid unless parameter ``p``'s annotation allows
+    ``value``: an int parameter takes an int, a float parameter a finite
+    int or float."""
+    kinds = (int,) if p.annotation is int else (int, float)
+    if type(value) not in kinds or (
+            float in kinds and not abs(value) < 2 ** 1024):  # inf, NaN
+        raise SpecInvalid(f"{p.name}={value!r} is not a finite "
+                          f"{p.annotation.__name__}")
+
+
 def generate(family: str, seed: int, **params) -> Graph:
     """Single entry point used by the CLI, the suite runner and the
-    benchmark.  ``family`` gets those ``params`` its generator reads; one
-    left None takes the family's default, and one that only other families
-    read is ignored."""
+    benchmark.  ``family`` gets those ``params`` its generator reads, each
+    checked by :func:`check_param`; one left None takes the family's
+    default, and one that only other families read is ignored."""
     reads = family_params(family)
     for name in params:
         if not any(name in other for other in _PARAMS.values()):
             raise SpecInvalid(f"no family reads a parameter {name!r}")
     given = {name: value for name, value in params.items()
              if name in reads and value is not None}
+    for name, value in given.items():
+        check_param(reads[name], value)
     required = [name for name, p in reads.items() if p.default is p.empty]
     if any(name not in given for name in required):
         raise SpecInvalid(f"{family} needs {' and '.join(required)}")

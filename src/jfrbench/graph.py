@@ -13,11 +13,11 @@ starting with ``#`` are comments and do not count toward ``m``.  Canonical
 text is exactly what ``write_text`` writes: ``n m\n``, then ``t h w\n``
 lines with single spaces, ASCII digits and tails in CSR order.  Both
 readers scan canonical bytes a 16-KiB slice at a time, with no Python loop
-per line or edge: ``read_file`` into CSR arrays through ``from_columns``,
-``read_text`` into its document.  Any other text goes through
-``read_text``'s line loop and ``from_edge_list``, which raise every error;
-``read_file`` hands scanned columns that fail a check to ``from_edge_list``.
-The generators build through ``from_columns`` too, from per-tail buckets.
+per line or edge, and any other text a line at a time, which raises each
+parse error with its line number.  Either way the text becomes edge
+columns, and one builder, ``from_columns``, judges every edge and lays
+out the CSR arrays, for ``read_file``, ``from_edge_list`` and the
+generators alike.
 
 A ``Graph`` holds each weight ``w`` as integer micro-units ``w * SCALE``
 in a float; their magnitudes sum to at most 2^52, so every path sum is
@@ -28,15 +28,14 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, le, mul, sub, truediv
+from itertools import chain, compress, islice, repeat
+from operator import eq, itemgetter, le, mul, sub, truediv
 
 from .errors import (
     GraphTooLarge,
     HeaderMismatch,
     IndexOutOfRange,
     InexactWeight,
-    JfrError,
     NegativeSelfLoop,
     NonFiniteWeight,
     ParseError,
@@ -86,19 +85,16 @@ class Graph:
         lo, hi = self.offsets[u], self.offsets[u + 1]
         return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
 
-    def _tails(self):
+    def tails(self) -> list:
+        """The tail of each edge, in CSR order: ``targets``' partner."""
         offsets = self.offsets
-        return chain.from_iterable(map(repeat, range(self.n),
-                                       map(sub, offsets[1:], offsets)))
-
-    def edges(self):
-        """Iterate all edges as ``(tail, head, weight)`` in CSR order."""
-        return zip(self._tails(), self.targets, self.weights)
+        return list(chain.from_iterable(map(repeat, range(self.n),
+                                            map(sub, offsets[1:], offsets))))
 
     def to_edge_list(self) -> EdgeListDoc:
         """The edge list, weights in whole units, that builds this graph."""
         return EdgeListDoc(self.n, list(zip(
-            self._tails(), self.targets,
+            self.tails(), self.targets,
             map(truediv, self.weights, repeat(SCALE)))))
 
     def __eq__(self, other):
@@ -112,94 +108,85 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _units(weights) -> list:
-    """``weights`` as integer-valued floats of micro-units.  Raises
-    NonFiniteWeight if one is not finite, else InexactWeight if one is off
-    the grid or if |weights| sum past MAX_UNITS."""
+def _units(weights: list) -> "list | None":
+    """``weights`` as integer-valued floats of micro-units, or None if one
+    is not a finite number on the 10^-6 grid or if |weights| sum past
+    MAX_UNITS."""
     try:  # float.__round__ is 2x round(); copysign keeps a zero's sign
         units = list(map(math.copysign, map(float.__round__, map(
             mul, weights, repeat(SCALE))), weights))
     except (OverflowError, TypeError, ValueError):  # inf, NaN, not a float
-        units = None
-    if units is None or not (
-            sum(map(abs, units)) <= MAX_UNITS
+        return None
+    if (sum(map(abs, units)) <= MAX_UNITS
             and list(map(truediv, units, repeat(SCALE))) == weights):
-        if not all(map(math.isfinite, weights)):
-            raise NonFiniteWeight("an edge weight is not finite")
-        raise InexactWeight("weights must be whole multiples of 1e-6 whose "
-                            f"magnitudes sum to at most {MAX_UNITS / SCALE}")
-    return units
+        return units
+    return None
 
 
-def from_edge_list(doc: EdgeListDoc) -> Graph:
-    """Build a CSR graph, validating the vertex count, endpoints and weights.
-
-    Preserves the relative order of each vertex's out-edges.  Rejects
-    endpoints outside ``[0, n)``, non-finite weights, negative self-loops
-    (a one-edge negative cycle), and inexact weights (:func:`_units`).
-    """
-    n = doc.n
-    if type(n) is not int or n < 0:
-        raise SpecInvalid(f"vertex count {n!r} is not an int >= 0")
-    try:
-        counts = [0] * (n + 1)
-    except (MemoryError, OverflowError):
-        raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
-    try:
-        for tail, head, weight in doc.edges:
-            if not (0 <= tail < n and 0 <= head < n):
-                raise IndexOutOfRange(f"edge ({tail}, {head}) not in [0, {n})")
-            if not math.isfinite(weight):
-                raise NonFiniteWeight(f"edge ({tail}, {head}) weight {weight}")
-            if tail == head and weight < 0:
-                raise NegativeSelfLoop(f"vertex {tail} loop weight {weight}")
-            counts[tail + 1] += 1
-    except (TypeError, ValueError, OverflowError) as exc:  # find the culprit
-        for tail, head, weight in doc.edges:
-            if not (isinstance(tail, int) and isinstance(head, int)
-                    and 0 <= tail < n and 0 <= head < n):
-                raise IndexOutOfRange("an endpoint is not a vertex") from exc
-            if not isinstance(weight, (int, float)):
-                raise NonFiniteWeight(f"non-float weight {weight!r}") from exc
-        raise InexactWeight("a weight is past the float range") from exc
-    offsets = list(accumulate(counts))
-    m = len(doc.edges)
-    targets = [0] * m
-    weights = [0.0] * m
-    cursor = offsets[:]
-    for tail, head, weight in doc.edges:
-        slot = cursor[tail]
-        targets[slot] = head
-        weights[slot] = weight
-        cursor[tail] = slot + 1
-    # a float head passes the range test; an int sum holds no float term
-    if type(sum(targets)) is not int:
-        raise IndexOutOfRange("an edge head is not an int vertex")
-    return Graph(n, offsets, targets, _units(weights))
+def _raise_first_fault(n: int, tails, heads, weights):
+    """Raise the error of the first edge, in input order, with a per-edge
+    fault: IndexOutOfRange for an endpoint that is not an int in
+    ``[0, n)``, NonFiniteWeight for a weight that is not a finite number,
+    NegativeSelfLoop for a loop of negative weight.  With no such edge,
+    raise InexactWeight: :func:`_units` refused the weights."""
+    for tail, head, weight in zip(tails, heads, weights):
+        if not all(isinstance(v, int) and 0 <= v < n for v in (tail, head)):
+            raise IndexOutOfRange(f"edge ({tail!r}, {head!r}) not in [0, {n})")
+        try:
+            finite = math.isfinite(weight)
+        except OverflowError:  # an int past the float range: inexact
+            finite = True
+        except (TypeError, ValueError):  # not a number
+            finite = False
+        if not finite:
+            raise NonFiniteWeight(f"edge ({tail}, {head}) weight {weight!r}")
+        if tail == head and weight < 0:
+            raise NegativeSelfLoop(f"edge ({tail}, {head}) is a loop of "
+                                   f"negative weight {weight!r}")
+    raise InexactWeight("weights must be whole multiples of 1e-6 whose "
+                        f"magnitudes sum to at most {MAX_UNITS / SCALE}")
 
 
 def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
-    """Build a CSR graph from int edge columns whose tails are already in
-    CSR order (nondecreasing), with every check at C speed.
+    """Build a CSR graph from edge columns, with no Python loop per edge
+    on a valid graph: the one builder, which judges every edge.
 
-    Raises what :func:`from_edge_list` raises on these edges (GraphTooLarge,
-    IndexOutOfRange, NonFiniteWeight, InexactWeight, NegativeSelfLoop), and
-    SpecInvalid for tails out of order.
+    Keeps the relative order of each vertex's out-edges; tails in any other
+    than CSR order are sorted stably.  Raises SpecInvalid for a vertex
+    count that is not an int >= 0, GraphTooLarge for one past memory, and
+    else what :func:`_raise_first_fault` raises.
     """
+    if type(n) is not int or n < 0:
+        raise SpecInvalid(f"vertex count {n!r} is not an int >= 0")
     try:
         offsets = [0] * (n + 1)
     except (MemoryError, OverflowError):
         raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
-    if not all(map(le, tails, islice(tails, 1, None))):
-        raise SpecInvalid("edge tails are not in CSR order")
-    if tails and (tails[0] < 0 or tails[-1] >= n
-                  or min(heads) < 0 or max(heads) >= n):
-        raise IndexOutOfRange(f"an edge endpoint is not in [0, {n})")
-    units = _units(weights)
-    if min(compress(units, map(eq, tails, heads)), default=0) < 0:
-        raise NegativeSelfLoop("a self-loop has negative weight")
+    given = tails, heads, weights  # in input order, for the error walk
+    try:  # an int sum holds no float, str or other non-int endpoint
+        if not all(map(le, tails, islice(tails, 1, None))):
+            order = sorted(range(len(tails)), key=tails.__getitem__)
+            tails, heads, weights = (list(map(column.__getitem__, order))
+                                     for column in given)
+        valid = (type(sum(tails)) is int and type(sum(heads)) is int
+                 and (not tails or 0 <= tails[0] and tails[-1] < n
+                      and 0 <= min(heads) and max(heads) < n))
+    except TypeError:  # endpoints that do not compare or add up
+        valid = False
+    units = _units(weights) if valid else None
+    if units is None or min(compress(units, map(eq, tails, heads)),
+                            default=0) < 0:
+        _raise_first_fault(n, *given)
     offsets[1:] = map(bisect_right, repeat(tails), range(n))
     return Graph(n, offsets, heads, units)
+
+
+def from_edge_list(doc: EdgeListDoc) -> Graph:
+    """Build a CSR graph from a document's ``(tail, head, weight)`` rows
+    through :func:`from_columns`."""
+    # a pass per column: 1.5x faster than zip(*edges) at m = 50000
+    return from_columns(doc.n, *(list(map(itemgetter(i), doc.edges))
+                                 for i in range(3)))
 
 
 def write_text(doc: EdgeListDoc) -> bytes:
@@ -249,20 +236,20 @@ def read_text(data: "bytes | str") -> EdgeListDoc:
     Canonical bytes are scanned at C speed, any other text a line at a
     time; both give the same document."""
     columns = _scan_canonical(data) if isinstance(data, bytes) else None
-    if columns is not None:
-        n, tails, heads, weights = columns
-        return EdgeListDoc(n, list(zip(tails, heads, weights)))
-    return _read_lines(data)
+    n, tails, heads, weights = columns or _read_lines(data)
+    return EdgeListDoc(n, list(zip(tails, heads, weights)))
 
 
-def _read_lines(data: "bytes | str") -> EdgeListDoc:
-    """:func:`read_text` a line at a time, for any text."""
+def _read_lines(data: "bytes | str") -> tuple:
+    """``(n, tails, heads, weights)``, as :func:`_scan_canonical` gives
+    them, read a line at a time from any text; raises what
+    :func:`read_text` raises."""
     # latin-1 maps each byte to one character, so the check covers both
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     if not text.isascii():
         raise ParseError("non-ASCII input", 1)
     header = None
-    edges = []
+    tails, heads, weights = [], [], []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line and line_no > 1:
@@ -285,31 +272,24 @@ def _read_lines(data: "bytes | str") -> EdgeListDoc:
             continue
         if len(fields) != 3:
             raise ParseError(f"expected 'tail head weight', got {raw!r}", line_no)
-        try:
-            tail, head = int(fields[0]), int(fields[1])
-            weight = float(fields[2])
+        try:  # a bad line raises, so its partial row is never read
+            tails.append(int(fields[0]))
+            heads.append(int(fields[1]))
+            weights.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"bad edge line {raw!r}", line_no) from None
-        edges.append((tail, head, weight))
     if header is None:
         raise ParseError("empty input", 1)
     n, m = header
-    if m != len(edges):
-        raise HeaderMismatch(f"header declares m={m}, found {len(edges)} edge lines")
-    return EdgeListDoc(n, edges)
+    if m != len(tails):
+        raise HeaderMismatch(f"header declares m={m}, found {len(tails)} edge lines")
+    return n, tails, heads, weights
 
 
 def read_file(path) -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
-    columns = _scan_canonical(data)
-    if columns is None:
-        return from_edge_list(_read_lines(data))
-    try:
-        return from_columns(*columns)
-    except JfrError:  # from_edge_list judges these edges and names the error
-        n, tails, heads, weights = columns
-        return from_edge_list(EdgeListDoc(n, list(zip(tails, heads, weights))))
+    return from_columns(*(_scan_canonical(data) or _read_lines(data)))
 
 
 def write_file(path, g: Graph) -> None:

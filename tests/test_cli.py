@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import jfrbench
 from conftest import rule_before_certify
-from jfrbench import cli, errors
+from jfrbench import cli, errors, graph
 from jfrbench.baselines import bellman_ford
 from jfrbench.cli import ALGORITHMS, SPEC_KEYS, main
 from jfrbench.errors import SpecInvalid
@@ -465,6 +465,19 @@ def test_malformed_input_fails_closed(capsys, tmp_path, make_argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("bad, edge", [("0 3 1.0", "(0, 3)"),  # head = n
+                                       ("1 2 1e999", "(1, 2)"),  # inf
+                                       ("1 1 -0.5", "(1, 1)")])
+def test_run_names_the_one_faulty_edge_of_a_canonical_file(
+        capsys, tmp_path, bad, edge):
+    text = f"3 4\n0 1 1.0\n0 2 1.0\n{bad}\n2 0 2.0\n".encode("ascii")
+    assert graph._scan_canonical(text) is not None  # read_file scans it
+    code, out, err = run_cli(capsys, "run", _file_arg(tmp_path, "g.txt", text),
+                             "--algo", "bf")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: edge {edge} ") and err.count("\n") == 1
 
 
 def run_module(*argv):

@@ -163,6 +163,16 @@ def test_generate_dispatcher():
         generate("windmill", 1, blades=2)  # missing blade_size
     with pytest.raises(SpecInvalid):
         generate("neg-dense", 1, n=10, m=20, neg_fracton=0.5)  # no one's
+    # a value of a type the signature does not allow, one per family
+    for family, params in (("sparse-random", {"n": 10, "m": 2.5}),
+                           ("neg-dense", {"n": 10, "m": "3"}),
+                           ("neg-dense", {"n": 10, "m": 20,
+                                          "weight_hi": math.inf}),
+                           ("windmill", {"blades": 2.0, "blade_size": 3}),
+                           ("slf-killer", {"n": 9.0}),
+                           ("pq-killer", {"levels": 2.0, "detour": 1})):
+        with pytest.raises(SpecInvalid):
+            generate(family, 1, **params)
     # None takes the default; a parameter another family reads is ignored
     plain = graph_bytes(gen_slf_killer(20, 1))
     assert graph_bytes(generate("slf-killer", 1, n=20, m=None,

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 from decimal import Decimal
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -101,43 +102,102 @@ def test_csr_layout_and_order():
     assert list(g.out_edges(1)) == [(2, 1e6), (0, 3e6), (2, 4e6)]
     assert list(g.out_edges(2)) == []
     assert g.out_degree(1) == 3
-    assert list(g.edges()) == [(0, 2, 2e6), (1, 2, 1e6), (1, 0, 3e6),
-                               (1, 2, 4e6)]
     assert g.to_edge_list().edges == [(0, 2, 2.0), (1, 2, 1.0), (1, 0, 3.0),
                                       (1, 2, 4.0)]
 
 
+def bad_edges(n):
+    """Edges that a graph on ``n`` vertices refuses, each with the error it
+    raises alone: a library caller's bad values as well as the text's."""
+    last = n - 1
+    return [((0, n, 1.0), IndexOutOfRange), ((-1, 0, 1.0), IndexOutOfRange),
+            ((0, last, math.inf), NonFiniteWeight),
+            ((0, last, math.nan), NonFiniteWeight),
+            ((last, last, -0.25), NegativeSelfLoop),
+            ((0, last, 10**400), InexactWeight),  # past the float range
+            ((0, last, 5e9), InexactWeight),  # past MAX_UNITS
+            ((0, last, 0.1234567), InexactWeight),  # off the grid
+            ((0, last, "1.0"), NonFiniteWeight),
+            ((0, last, None), NonFiniteWeight),
+            ((float(last), last, 1.0), IndexOutOfRange),
+            ((0, str(last), 1.0), IndexOutOfRange),
+            ((0, float(last), 1.0), IndexOutOfRange),
+            ((0, last, Decimal("1")), InexactWeight)]
+
+
 def test_from_edge_list_validation():
-    with pytest.raises(IndexOutOfRange):
-        from_edge_list(EdgeListDoc(2, [(0, 2, 1.0)]))
-    with pytest.raises(IndexOutOfRange):
-        from_edge_list(EdgeListDoc(2, [(-1, 0, 1.0)]))
-    with pytest.raises(NonFiniteWeight):
-        from_edge_list(EdgeListDoc(2, [(0, 1, math.inf)]))
-    with pytest.raises(NonFiniteWeight):
-        from_edge_list(EdgeListDoc(2, [(0, 1, math.nan)]))
-    with pytest.raises(NegativeSelfLoop):
-        from_edge_list(EdgeListDoc(2, [(1, 1, -0.25)]))
     # non-negative self-loops are harmless and allowed
     assert from_edge_list(EdgeListDoc(2, [(1, 1, 0.0)])).m == 1
-    # a library caller's bad values raise typed errors too, each after
-    # valid edges, so the culprit is found again on the error path (a
-    # float head raises nothing there, and is caught after the CSR build)
+    # each bad edge alone, and after valid edges
     good = [(0, 1, 1.0), (1, 0, 2.0)]
-    for bad, error in (((0, 1, 10**400), InexactWeight),
-                       ((0, 1, "1.0"), NonFiniteWeight),
-                       ((0, 1, None), NonFiniteWeight),
-                       ((1.0, 1, 1.0), IndexOutOfRange),
-                       ((0, "1", 1.0), IndexOutOfRange),
-                       ((0, 1.0, 1.0), IndexOutOfRange),
-                       ((0, 1, Decimal("1")), InexactWeight)):
-        with pytest.raises(error):
-            from_edge_list(EdgeListDoc(2, good + [bad]))
+    for bad, error in bad_edges(2):
+        for edges in ([bad], good + [bad]):
+            with pytest.raises(error):
+                from_edge_list(EdgeListDoc(2, edges))
     for n in (2.5, -1, "2", None):
         with pytest.raises(SpecInvalid):
             from_edge_list(EdgeListDoc(n, []))
     with pytest.raises(GraphTooLarge):
         from_edge_list(EdgeListDoc(10**19, []))
+
+
+def reference_build(doc):
+    """The per-edge builder that ``from_columns`` replaces: judge each edge
+    in input order, where the first edge with a per-edge fault names the
+    error and inexact weights raise only when no edge has one, then place
+    each edge after its tail's earlier ones by counting."""
+    n, m = doc.n, doc.m
+    for tail, head, weight in doc.edges:
+        if not all(isinstance(v, int) and 0 <= v < n for v in (tail, head)):
+            raise IndexOutOfRange
+        try:
+            finite = math.isfinite(weight)
+        except OverflowError:
+            finite = True
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise NonFiniteWeight
+        if tail == head and weight < 0:
+            raise NegativeSelfLoop
+    units = []
+    for _, _, weight in doc.edges:
+        try:
+            unit = math.copysign(round(weight * graph.SCALE), weight)
+        except (OverflowError, TypeError):
+            raise InexactWeight from None
+        if unit / graph.SCALE != weight:
+            raise InexactWeight
+        units.append(unit)
+    if sum(map(abs, units)) > graph.MAX_UNITS:
+        raise InexactWeight
+    counts = [0] * (n + 1)
+    for tail, _, _ in doc.edges:
+        counts[tail + 1] += 1
+    offsets = list(accumulate(counts))
+    cursor, targets, weights = offsets[:], [0] * m, [0.0] * m
+    for (tail, head, _), unit in zip(doc.edges, units):
+        targets[cursor[tail]], weights[cursor[tail]] = head, unit
+        cursor[tail] += 1
+    return graph.Graph(n, offsets, targets, weights)
+
+
+@st.composite
+def faulty_docs(draw):
+    """An ``edge_docs`` document (tails in random order) with up to three
+    of ``bad_edges`` inserted."""
+    doc = draw(edge_docs())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        bad, _ = draw(st.sampled_from(bad_edges(doc.n)))
+        doc.edges.insert(draw(st.integers(0, doc.m)), bad)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_docs())
+def test_from_edge_list_equals_the_per_edge_reference(doc):
+    assert _outcome(from_edge_list, doc, messages=False) == _outcome(
+        reference_build, doc, messages=False)
 
 
 def test_out_edges_bounds():
@@ -249,11 +309,11 @@ def graph_texts(draw):
     return ("\n".join(lines) + "\n" * final_newline).encode("ascii")
 
 
-def _outcome(read, arg):
+def _outcome(read, arg, messages=True):
     try:
         g = read(arg)
     except JfrError as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc)) if messages else type(exc)
     return g.n, g.offsets, g.targets, [repr(w) for w in g.weights]
 
 
@@ -281,12 +341,11 @@ def _doc_outcome(read, arg):
 def test_read_file_agrees_with_the_line_loop(tmp_path, data):
     path = tmp_path / "g.txt"
     path.write_bytes(data)
-    assert _outcome(read_file, path) == _outcome(
-        lambda d: from_edge_list(graph._read_lines(d)), data)
     # read_text scans canonical bytes; str input takes the line loop
-    lines = _doc_outcome(graph._read_lines, data)
-    assert _doc_outcome(read_text, data) == lines
-    assert _doc_outcome(read_text, data.decode("ascii")) == lines
+    lines = data.decode("ascii")
+    assert _outcome(read_file, path) == _outcome(
+        lambda d: from_edge_list(read_text(d)), lines)
+    assert _doc_outcome(read_text, data) == _doc_outcome(read_text, lines)
 
 
 def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
@@ -295,17 +354,12 @@ def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
     write_file(path, g)
     data = path.read_bytes()
     assert len(data) > 3 * graph._SLICE_BYTES  # several slices
-    want = _doc_outcome(graph._read_lines, data)
+    want = _doc_outcome(read_text, data.decode("ascii"))
 
     def line_loop(data):
         raise AssertionError("canonical text went through the line loop")
-
-    def edge_loop(doc):
-        raise AssertionError("canonical text went through from_edge_list")
     monkeypatch.setattr(graph, "_read_lines", line_loop)
-    with monkeypatch.context() as patch:  # read_file builds from columns
-        patch.setattr(graph, "from_edge_list", edge_loop)
-        got = read_file(path)
+    got = read_file(path)
     assert got == g and list(map(repr, got.weights)) == \
         list(map(repr, g.weights))
     assert _doc_outcome(read_text, data) == want
