@@ -29,7 +29,7 @@ import sys
 
 from .baselines import bellman_ford, spfa_fifo, spfa_slf
 from .errors import JfrError, SpecInvalid, UnknownAlgorithm
-from .generators import FAMILIES, check_param, family_params, generate
+from .generators import FAMILIES, family_args, family_params, generate
 from .graph import SCALE, Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
 from .metrics import compare
@@ -121,22 +121,10 @@ def _write_csv(path, tag, header, rows):
         writer.writerows(rows)
 
 
-def _generate(args):
-    """The ``--family`` graph, from those of the generator flags that were
-    given; a given flag that the family does not read is an error."""
-    reads = [flag for flag in GEN_FLAGS if flag in family_params(args.family)]
-    params = {flag: getattr(args, flag) for flag in GEN_FLAGS}
-    for flag, value in params.items():
-        if value is not None and flag not in reads:
-            raise SpecInvalid(
-                f"--{flag.replace('_', '-')} does not apply to {args.family}"
-                "; it reads " + ", ".join("--" + f.replace("_", "-")
-                                          for f in reads))
-    return generate(args.family, args.seed, **params)
-
-
 def cmd_gen(args) -> int:
-    g = _generate(args)
+    g = generate(args.family, args.seed, **family_args(args.family, {
+        flag: value for flag in GEN_FLAGS
+        if (value := getattr(args, flag)) is not None}))
     if args.out:
         write_file(args.out, g)
         print(f"family={args.family} n={g.n} m={g.m} seed={args.seed} "
@@ -203,7 +191,12 @@ def _expect(ok, what, value):
         raise SpecInvalid(f"suite spec: {what}, got {value!r}")
 
 
-def _validate_suite(spec):
+def _plan_suite(spec):
+    """The suite ``spec``, judged in full before any instance runs, as
+    ``(seed, repetitions, k, algorithms, entries)``.  Each entry is an
+    ``(id, family, args)`` triple with ``args`` as :func:`family_args`
+    gives them; the id is the family, then each argument's name and
+    value, so ``0`` and ``0.0`` for a float parameter give one id."""
     _expect(isinstance(spec, dict), "the spec must be a JSON object", spec)
     for key in spec:
         _expect(key in SPEC_KEYS, f"unknown key; choose from "
@@ -211,7 +204,8 @@ def _validate_suite(spec):
     for key in ("seed", "repetitions", "k"):
         value = spec.get(key, 0)
         _expect(type(value) is int, f"{key!r} must be an integer", value)
-    if spec.get("repetitions", 1) < 1:
+    reps = spec.get("repetitions", 1)
+    if reps < 1:
         raise SpecInvalid("repetitions must be >= 1")
     algos = spec.get("algorithms", [])
     entries = spec.get("entries", [])
@@ -224,66 +218,40 @@ def _validate_suite(spec):
     _expect(isinstance(entries, list), "'entries' must be a list", entries)
     if not entries:
         raise SpecInvalid("suite has no entries")
-    _k_for(algos, spec.get("k"))
+    k = _k_for(algos, spec.get("k"))
+    plan = []
     for entry in entries:
         _expect(isinstance(entry, dict) and "family" in entry,
                 "each entry must be an object with a 'family'", entry)
-        reads = family_params(entry["family"])
-        for key, value in entry.items():
-            if key == "family":
-                continue
-            _expect(key in reads, f"a {entry['family']} entry takes "
-                    f"{', '.join(reads)}; unknown key", key)
-            if value is not None:
-                check_param(reads[key], value)
-    ids = [_entry_id(entry) for entry in entries]
+        params = dict(entry)
+        family = params.pop("family")
+        args = family_args(family, params)
+        plan.append(("-".join([family] + [f"{name}{v}" for name, v
+                                          in args.items()]), family, args))
+    ids = [entry_id for entry_id, _, _ in plan]
     _expect(len(set(ids)) == len(ids), "two entries share an id", ids)
-
-
-def _entry_id(entry):
-    """The entry's family, then each parameter it gives, in the order of
-    the family's generator signature; a float parameter is written as a
-    float, so ``0`` and ``0.0`` (the same graph) give the same id."""
-    params = family_params(entry["family"])
-    return "-".join([entry["family"]] + [
-        f"{name}{float(v) if p.annotation is float else v}"
-        for name, p in params.items()
-        if (v := entry.get(name)) is not None])
-
-
-def _suite_instance(spec, entry, i):
-    """Run every selected algorithm on instance i of a suite entry; per
-    algorithm, give its counts and check."""
-    seed = spec.get("seed", 0) + i
-    g = generate(entry["family"], seed,
-                 **{key: v for key, v in entry.items() if key != "family"})
-    k = _k_for(spec["algorithms"], spec.get("k"))
-    out = {}
-    for algo in spec["algorithms"]:
-        result = run_algorithm(algo, g, 0, k)
-        s = result.stats
-        out[algo] = (s.wall_time_ns, s.edge_inspections,
-                     s.successful_relaxations, s.outer_iterations,
-                     _check(g, 0, result))
-    return g.n, g.m, out
+    return spec.get("seed", 0), reps, k, algos, plan
 
 
 def cmd_suite(args) -> int:
-    spec = _load_suite(args.spec)
-    _validate_suite(spec)
-    reps = spec.get("repetitions", 1)
+    seed, reps, k, algos, plan = _plan_suite(_load_suite(args.spec))
     rows = []
-    for entry in spec["entries"]:
-        runs = [_suite_instance(spec, entry, i) for i in range(reps)]
-        n, m, _ = runs[0]
-        for algo in spec["algorithms"]:
-            vals = [run[2][algo] for run in runs]
-            median_ns = int(statistics.median(v[0] for v in vals))
-            means = [f"{statistics.fmean(v[c] for v in vals):.1f}"
-                     for c in (1, 2, 3)]
-            check = "PASS" if all(v[4] == "PASS" for v in vals) else "FAIL"
-            rows.append([_entry_id(entry), entry["family"], n, m, algo, reps,
-                         median_ns, *means, check])
+    for entry_id, family, params in plan:
+        runs = {algo: [] for algo in algos}
+        for i in range(reps):
+            g = generate(family, seed + i, **params)
+            for algo, done in runs.items():
+                result = run_algorithm(algo, g, 0, k)
+                s = result.stats
+                done.append((s.wall_time_ns, s.edge_inspections,
+                             s.successful_relaxations, s.outer_iterations,
+                             _check(g, 0, result)))
+        for algo, done in runs.items():
+            times, *counts, checks = zip(*done)
+            rows.append([entry_id, family, g.n, g.m, algo, reps,
+                         int(statistics.median(times)),
+                         *(f"{statistics.fmean(c):.1f}" for c in counts),
+                         "PASS" if set(checks) == {"PASS"} else "FAIL"])
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
     _write_csv(args.out, SCHEMA_TAG,
                ["id", "family", "n", "m", "algorithm", "instances", "time_ns",

@@ -45,11 +45,11 @@ Families
     runs a depth-``k`` propagation with ``k <= detour``.  ``jfr_pq``'s
     passes, FIFO order, SLF and ``jfr_strict`` stay far below ``n * m``.
 
-``FAMILIES`` maps each name to its generator, whose signature is the one
-list of the family's parameters with their types and defaults; ``generate``,
-the suite and the CLI flags all read it.  All randomness comes from
-``random.Random`` (Mersenne Twister) seeded with the 64-bit seed;
-identical parameters give byte-identical graphs.
+``FAMILIES`` maps each name to its generator, whose signature lists the
+family's parameters, types and defaults; ``family_args`` alone judges
+them, for ``generate``, suite entries and ``gen``'s flags.  All randomness
+comes from ``random.Random`` (Mersenne Twister) seeded with the 64-bit
+seed; identical parameters give byte-identical graphs.
 Weights are rounded to 6 decimal digits, the whole micro-units that
 :mod:`jfrbench.graph` requires.
 
@@ -67,6 +67,7 @@ edge (``slf-killer`` and ``pq-killer`` by way of ``from_edge_list``).
 
 import inspect
 import random
+import sys
 from bisect import bisect_right
 from itertools import chain, repeat
 from operator import truediv
@@ -310,6 +311,7 @@ _PARAMS = {family: {name: p for name, p in
                     inspect.signature(gen).parameters.items()
                     if name != "seed"}
            for family, gen in FAMILIES.items()}
+_ANY_READS = set().union(*_PARAMS.values())
 
 
 def family_params(family: str) -> dict:
@@ -322,31 +324,42 @@ def family_params(family: str) -> dict:
     return _PARAMS[family]
 
 
-def check_param(p: inspect.Parameter, value) -> None:
-    """Raise SpecInvalid unless parameter ``p``'s annotation allows
-    ``value``: an int parameter takes an int, a float parameter a finite
-    int or float."""
-    kinds = (int,) if p.annotation is int else (int, float)
-    if type(value) not in kinds or (
-            float in kinds and not abs(value) < 2 ** 1024):  # inf, NaN
-        raise SpecInvalid(f"{p.name}={value!r} is not a finite "
-                          f"{p.annotation.__name__}")
+def family_args(family: str, params: dict) -> dict:
+    """``params`` as ``family``'s generator takes them: in signature order,
+    None values dropped, each float parameter as a float.  Raises
+    SpecInvalid for a name the family does not read, a value whose type
+    the signature does not allow (an int parameter takes an int, a float
+    parameter a finite int or float) and a missing parameter with no
+    default."""
+    reads = family_params(family)
+    for name in params:
+        if name not in reads:
+            raise SpecInvalid(f"{family} takes {', '.join(reads)}, "
+                              f"not {name!r}")
+    args = {}
+    for name, p in reads.items():
+        value = params.get(name)
+        if value is None:
+            if p.default is p.empty:
+                raise SpecInvalid(f"{family} needs " + " and ".join(
+                    q.name for q in reads.values() if q.default is q.empty))
+            continue
+        kinds = (int,) if p.annotation is int else (int, float)
+        # an int past the float range is no float, nor are inf and NaN
+        if type(value) not in kinds or (
+                float in kinds and not abs(value) <= sys.float_info.max):
+            raise SpecInvalid(f"{name}={value!r} is not a finite "
+                              f"{p.annotation.__name__}")
+        args[name] = p.annotation(value)
+    return args
 
 
 def generate(family: str, seed: int, **params) -> Graph:
     """Single entry point used by the CLI, the suite runner and the
-    benchmark.  ``family`` gets those ``params`` its generator reads, each
-    checked by :func:`check_param`; one left None takes the family's
-    default, and one that only other families read is ignored."""
+    benchmark: ``family``'s graph from ``params`` as :func:`family_args`
+    judges them, save that a parameter only other families read is
+    ignored."""
     reads = family_params(family)
-    for name in params:
-        if not any(name in other for other in _PARAMS.values()):
-            raise SpecInvalid(f"no family reads a parameter {name!r}")
-    given = {name: value for name, value in params.items()
-             if name in reads and value is not None}
-    for name, value in given.items():
-        check_param(reads[name], value)
-    required = [name for name, p in reads.items() if p.default is p.empty]
-    if any(name not in given for name in required):
-        raise SpecInvalid(f"{family} needs {' and '.join(required)}")
-    return FAMILIES[family](seed=seed, **given)
+    return FAMILIES[family](seed=seed, **family_args(family, {
+        name: value for name, value in params.items()
+        if name in reads or name not in _ANY_READS}))

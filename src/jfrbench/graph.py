@@ -78,13 +78,6 @@ class Graph:
             raise IndexOutOfRange(f"vertex {u} not in [0, {self.n})")
         return self.offsets[u + 1] - self.offsets[u]
 
-    def out_edges(self, u: int) -> list[tuple[int, float]]:
-        """``(head, weight)`` pairs for ``u`` in insertion order."""
-        if not 0 <= u < self.n:
-            raise IndexOutOfRange(f"vertex {u} not in [0, {self.n})")
-        lo, hi = self.offsets[u], self.offsets[u + 1]
-        return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
-
     def tails(self) -> list:
         """The tail of each edge, in CSR order: ``targets``' partner."""
         offsets = self.offsets

@@ -12,6 +12,7 @@ comparison itself, not a prediction of it.
 """
 
 from dataclasses import dataclass
+from operator import mul, sub
 
 from .errors import ModeMismatch, ZeroOps
 from .graph import Graph
@@ -76,10 +77,10 @@ def bound_check(stats: RunStats, g: Graph, k: int) -> BoundReport:
                            f"asked to audit k={k}")
     if k < 1:
         raise ModeMismatch("k must be >= 1")
-    deg = [g.out_degree(v) for v in range(g.n)]
-    lhs = sum(a * d for a, d in zip(stats.activations, deg))
-    imp_deg = sum(i * d for i, d in zip(stats.improvements, deg))
-    deg_sum = sum(deg)
+    deg = list(map(sub, g.offsets[1:], g.offsets))
+    lhs = sum(map(mul, stats.activations, deg))
+    imp_deg = sum(map(mul, stats.improvements, deg))
+    deg_sum = g.m
     rhs = deg_sum + imp_deg / k
     # evaluate lhs <= rhs + n without float division: multiply through by k
     holds = k * lhs <= k * deg_sum + imp_deg + k * g.n

@@ -370,6 +370,10 @@ MALFORMED = {
     "suite-entry-float-past-float-range": _suite_with(entries=[
         {"family": "sparse-random", "n": 40, "m": 200,
          "weight_hi": 10 ** 400}]),
+    # below 2^1024, but it rounds up to it as a float
+    "suite-entry-int-that-no-float-holds": _suite_with(entries=[
+        {"family": "sparse-random", "n": 40, "m": 200,
+         "weight_hi": 2 ** 1024 - 1}]),
     "run-k-without-jfr": lambda tmp_path, graph: [
         "run", graph, "--algo", "bf", "--k", "-5"],
     "compare-k-without-jfr": lambda tmp_path, graph: [
@@ -394,6 +398,9 @@ MALFORMED = {
         {"family": "slf-killer", "n": 60, "neg_fraction": 0.5}]),
     "suite-entry-family-list": _suite_with(entries=[
         {"family": ["slf-killer"], "n": 60}]),
+    "suite-entry-missing-required": _suite_with(entries=[
+        {"family": "slf-killer", "n": 60}, {"family": "pq-killer",
+                                            "levels": 8}]),
     "gen-flags-the-family-does-not-read": lambda tmp_path, graph: [
         "gen", "--family", "slf-killer", "--n", "10", "--m", "999",
         "--neg-fraction", "0.9", "--blades", "3"],
@@ -465,6 +472,28 @@ def test_malformed_input_fails_closed(capsys, tmp_path, make_argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+# suite entries refused after a good one, each for another reason
+BAD_ENTRIES = {
+    "missing-required": {"family": "pq-killer", "levels": 8},
+    "unknown-key": {"family": "slf-killer", "n": 61, "bogus": 1},
+    "wrong-type": {"family": "slf-killer", "n": 61.0},
+    "id-of-the-first": {"n": 60, "family": "slf-killer"},
+    "no-family": {"n": 60},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_a_bad_suite_entry_stops_the_suite_before_any_instance(
+        capsys, tmp_path, monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(cli, "generate", lambda *a, **kw: calls.append(a))
+    spec = write_suite(tmp_path, entries=[{"family": "slf-killer", "n": 60},
+                                          bad])
+    code, out, err = run_cli(capsys, "suite", spec)
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad, edge", [("0 3 1.0", "(0, 3)"),  # head = n

@@ -4,9 +4,10 @@ import pytest
 
 from jfrbench.baselines import bellman_ford, spfa_slf
 from jfrbench.errors import SpecInvalid
-from jfrbench.generators import (FAMILIES, family_params, gen_neg_dense,
-                                 gen_slf_killer, gen_sparse_random,
-                                 gen_windmill, generate, plant_negative_cycle)
+from jfrbench.generators import (FAMILIES, family_args, family_params,
+                                 gen_neg_dense, gen_slf_killer,
+                                 gen_sparse_random, gen_windmill, generate,
+                                 plant_negative_cycle)
 from jfrbench.graph import write_text
 from jfrbench.jfr import jfr_pq
 
@@ -128,9 +129,12 @@ def test_more_edges_extend_the_same_graph():
             g1 = generate(family, seed, n=60, m=300, **params)
             g2 = generate(family, seed, n=60, m=345, **params)
             assert g2.m == 345
+            o1, o2 = g1.offsets, g2.offsets
             for u in range(g1.n):
-                old = g1.out_edges(u)
-                assert g2.out_edges(u)[:len(old)] == old, (family, seed, u)
+                old = slice(o1[u], o1[u + 1])
+                new = slice(o2[u], min(o2[u + 1], o2[u] + o1[u + 1] - o1[u]))
+                assert (g2.targets[new], g2.weights[new]) \
+                    == (g1.targets[old], g1.weights[old]), (family, seed, u)
 
 
 def test_plant_negative_cycle_reachable_and_negative():
@@ -182,6 +186,29 @@ def test_generate_dispatcher():
         == graph_bytes(generate("neg-dense", 1, n=100, m=500,
                                 neg_fraction=None, weight_hi=None))
     assert sum(w < 0 for w in gen_neg_dense(100, 500, 1).weights) > 0
+    # family_args alone judges a family's arguments: an int for a float
+    # parameter comes back a float and builds the same graph, arguments
+    # come back in signature order, and a name the family does not read
+    # or a missing parameter with no default is refused
+    args = family_args("neg-dense", {"neg_fraction": 0, "m": 500, "n": 100,
+                                     "weight_hi": None})
+    assert args == {"n": 100, "m": 500, "neg_fraction": 0.0}
+    assert list(args) == ["n", "m", "neg_fraction"]
+    assert type(args["neg_fraction"]) is float and type(args["n"]) is int
+    assert graph_bytes(generate("neg-dense", 1, **args)) \
+        == graph_bytes(generate("neg-dense", 1, n=100, m=500, neg_fraction=0))
+    assert list(family_args("windmill", {"weight_lo": 2, "blade_size": 3,
+                                         "blades": 2})) \
+        == ["blades", "blade_size", "weight_lo"]
+    for family, params in (("slf-killer", {"n": 20, "m": 60}),
+                           ("pq-killer", {"levels": 3, "detour": 1,
+                                          "n": None}),
+                           ("pq-killer", {"levels": 8}),
+                           ("sparse-random", {"m": 20, "weight_hi": None}),
+                           ("sparse-random", {"n": 10, "m": 20,
+                                              "weight_hi": 2 ** 1024 - 1})):
+        with pytest.raises(SpecInvalid):
+            family_args(family, params)
 
 
 def test_family_params_come_from_the_generator_signatures():
