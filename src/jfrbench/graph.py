@@ -6,6 +6,8 @@ CSR arrays are ordinary Python lists: ``offsets`` has ``n + 1`` entries,
 ``targets`` and ``weights`` have ``m`` entries each, and the out-edges of
 ``u`` occupy the slice ``offsets[u]:offsets[u + 1]`` in the order the edges
 were supplied.  Parallel edges and non-negative self-loops are allowed.
+``targets`` holds one int object per vertex, shared by every edge that
+points at it, rather than a 28-byte int per edge.
 
 The text format is line-oriented ASCII: a header ``n m``, then one ``tail
 head weight`` line per edge (0-based endpoints, LF line endings).  Lines
@@ -44,6 +46,7 @@ from .errors import (
 
 SCALE = 1e6  # micro-units per weight unit
 MAX_UNITS = 2.0 ** 52  # the largest sum of |weight| in micro-units
+_WRITE_LINES = 4096  # edge lines that write_text encodes at a time
 
 
 @dataclass
@@ -145,14 +148,16 @@ def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
     on a valid graph: the one builder, which judges every edge.
 
     Keeps the relative order of each vertex's out-edges; tails in any other
-    than CSR order are sorted stably.  Raises SpecInvalid for a vertex
-    count that is not an int >= 0, GraphTooLarge for one past memory, and
-    else what :func:`_raise_first_fault` raises.
+    than CSR order are sorted stably.  Heads are mapped through one
+    ``list(range(n))`` table, so ``targets`` holds one plain int object
+    per vertex, however many edges point at it.  Raises SpecInvalid for a
+    vertex count that is not an int >= 0, GraphTooLarge for one past
+    memory, and else what :func:`_raise_first_fault` raises.
     """
     if type(n) is not int or n < 0:
         raise SpecInvalid(f"vertex count {n!r} is not an int >= 0")
-    try:
-        offsets = [0] * (n + 1)
+    try:  # ids: one int object per vertex for targets to share
+        offsets, ids = [0] * (n + 1), list(range(n))
     except (MemoryError, OverflowError):
         raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
     given = tails, heads, weights  # in input order, for the error walk
@@ -170,8 +175,10 @@ def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
     if units is None or min(compress(units, map(eq, tails, heads)),
                             default=0) < 0:
         _raise_first_fault(n, *given)
+    targets = list(map(ids.__getitem__, heads))
+    del ids  # frees the ids no edge points at before the offsets are laid
     offsets[1:] = map(bisect_right, repeat(tails), range(n))
-    return Graph(n, offsets, heads, units)
+    return Graph(n, offsets, targets, units)
 
 
 def from_edge_list(doc: EdgeListDoc) -> Graph:
@@ -183,12 +190,15 @@ def from_edge_list(doc: EdgeListDoc) -> Graph:
 
 
 def write_text(doc: EdgeListDoc) -> bytes:
-    """Serialize a document in canonical form (no comments, LF endings)."""
-    lines = [f"{doc.n} {doc.m}"]
-    for tail, head, weight in doc.edges:
-        # repr() is the shortest string that round-trips through float()
-        lines.append(f"{tail} {head} {float(weight)!r}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """Serialize a document in canonical form (no comments, LF endings),
+    encoding it ``_WRITE_LINES`` lines at a time, so that no more than a
+    chunk of lines is ever held as ``str``."""
+    edges = doc.edges
+    # repr() is the shortest string that round-trips through float()
+    return b"".join([f"{doc.n} {doc.m}\n".encode("ascii")] + [
+        "".join([f"{tail} {head} {float(weight)!r}\n" for tail, head, weight
+                 in edges[start:start + _WRITE_LINES]]).encode("ascii")
+        for start in range(0, len(edges), _WRITE_LINES)])
 
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import subprocess
+from collections import Counter
 from decimal import Decimal
 from itertools import accumulate
 from pathlib import Path
@@ -16,7 +17,7 @@ from jfrbench import graph
 from jfrbench.errors import (GraphTooLarge, HeaderMismatch, IndexOutOfRange,
                              InexactWeight, JfrError, NegativeSelfLoop,
                              NonFiniteWeight, ParseError, SpecInvalid)
-from jfrbench.generators import generate
+from jfrbench.generators import generate, plant_negative_cycle
 from jfrbench.graph import (EdgeListDoc, from_edge_list, read_file, read_text,
                             write_file, write_text)
 
@@ -107,6 +108,48 @@ def test_csr_layout_and_order():
             g.out_degree(u)
     assert g.to_edge_list().edges == [(0, 2, 2.0), (1, 2, 1.0), (1, 0, 3.0),
                                       (1, 2, 4.0)]
+
+
+def test_bool_endpoints_round_trip_as_ints():
+    g = from_edge_list(EdgeListDoc(3, [(0, True, 1.0), (True, 2, -0.5)]))
+    assert g.targets == [1, 2] and all(type(v) is int for v in g.targets)
+    again = from_edge_list(read_text(write_text(g.to_edge_list())))
+    assert again == g and all(type(v) is int for v in again.targets)
+
+
+def _read_bytes(tmp_path, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    return read_file(path)
+
+
+def _neg_dense_text():
+    return write_text(generate("neg-dense", 2, n=1000, m=5000).to_edge_list())
+
+
+# every way a graph is built, on vertex ids past CPython's shared small
+# ints (-5 to 256), with heads that repeat
+BUILDS = {
+    "sparse-random": lambda tmp: generate("sparse-random", 1, n=1000, m=5000),
+    "neg-dense": lambda tmp: generate("neg-dense", 1, n=1000, m=5000),
+    "windmill": lambda tmp: generate("windmill", 1, blades=30, blade_size=12),
+    "slf-killer": lambda tmp: generate("slf-killer", 1, n=1000),
+    "pq-killer": lambda tmp: generate("pq-killer", 1, levels=10, detour=40),
+    "plant_negative_cycle": lambda tmp: plant_negative_cycle(
+        generate("sparse-random", 1, n=1000, m=5000), 400, 1),
+    "read_file-canonical": lambda tmp: _read_bytes(tmp, _neg_dense_text()),
+    "read_file-line-loop": lambda tmp: _read_bytes(
+        tmp, b"# a comment\n" + _neg_dense_text()),
+    "from_edge_list": lambda tmp: from_edge_list(read_text(_neg_dense_text())),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_targets_hold_one_int_object_per_vertex(tmp_path, build):
+    g = BUILDS[build](tmp_path)
+    counts = Counter(g.targets)
+    assert any(v > 256 and count > 1 for v, count in counts.items())
+    assert len(set(map(id, g.targets))) == len(set(g.targets))
 
 
 def bad_edges(n):
