@@ -3,7 +3,6 @@
 Subcommands:
   gen      write a generated graph in the text format
   run      run one algorithm on a graph file, print a JSON result row
-  compare  run a baseline and a jump-frontier algorithm, print CSV
   suite    run a multi-family suite (bundled desk suite by default)
   verify   check a saved result file against the oracle
 
@@ -32,12 +31,10 @@ from .errors import JfrError, SpecInvalid, UnknownAlgorithm
 from .generators import FAMILIES, family_args, family_params, generate
 from .graph import SCALE, Graph, read_file, write_file, write_text
 from .jfr import DEFAULT_K, jfr_pq, jfr_strict
-from .metrics import compare
 from .results import RunStats, SsspResult
 from .verify import certify, well_formed_parents
 
 SCHEMA_TAG = "#schema=1"  # suite rows
-COMPARE_SCHEMA_TAG = "#schema=3"  # compare rows
 ALGORITHMS = {"bf": bellman_ford, "spfa": spfa_fifo, "slf": spfa_slf,
               "jfr-strict": jfr_strict, "jfr-pq": jfr_pq}
 READS_K = ("jfr-strict", "jfr-pq")  # the algorithms called with a depth k
@@ -82,20 +79,6 @@ def _k_for(algorithms, k):
     return DEFAULT_K if k is None else k
 
 
-def _timed_run(name, g, source, k, repetitions):
-    """Run `repetitions` times; return the last result with its wall time
-    replaced by the median across runs (counts are identical every run)."""
-    if repetitions < 1:
-        raise SpecInvalid(f"repetitions must be >= 1, got {repetitions}")
-    times = []
-    result = None
-    for _ in range(repetitions):
-        result = run_algorithm(name, g, source, k)
-        times.append(result.stats.wall_time_ns)
-    result.stats.wall_time_ns = int(statistics.median(times))
-    return result
-
-
 def _check(g, source, result) -> str:
     """PASS when the oracle would give ``result``'s labels and
     negative-cycle flag, as :func:`certify` finds without re-solving
@@ -108,17 +91,6 @@ def _check(g, source, result) -> str:
 def _json_label(d):
     """A micro-unit label in whole units, "inf" / "-inf" for strict JSON."""
     return "inf" if d == math.inf else "-inf" if d == -math.inf else d / SCALE
-
-
-def _write_csv(path, tag, header, rows):
-    """Write the ``#schema`` tag line, the header and the rows to ``path``,
-    or to stdout when ``path`` is None."""
-    with (open(path, "w", newline="") if path
-          else contextlib.nullcontext(sys.stdout)) as out:
-        out.write(tag + "\n")
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_gen(args) -> int:
@@ -137,11 +109,15 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     g = read_file(args.graph)
     k = _k_for([args.algo], args.k)
-    result = _timed_run(args.algo, g, args.source, k, args.repetitions)
-    if args.check:
-        check = _check(g, args.source, result)
-    else:
-        check = "SKIPPED"
+    if args.repetitions < 1:
+        raise SpecInvalid(f"repetitions must be >= 1, got {args.repetitions}")
+    times = []
+    for _ in range(args.repetitions):  # counts are the same every run
+        result = run_algorithm(args.algo, g, args.source, k)
+        times.append(result.stats.wall_time_ns)
+    s = result.stats
+    s.wall_time_ns = int(statistics.median(times))  # the row's time
+    check = _check(g, args.source, result) if args.check else "SKIPPED"
     if args.out:  # before the summary, so a failed write prints no row
         payload = dict(graph=args.graph, source=args.source,
                        algorithm=args.algo, neg_cycle=result.neg_cycle,
@@ -149,29 +125,11 @@ def cmd_run(args) -> int:
                        parent=result.parent)
         with open(args.out, "w") as fh:  # dumps: json.dump skips the C encoder
             fh.write(json.dumps(payload) + "\n")
-    s = result.stats
     print(json.dumps(dict(
         graph=args.graph, family="file", n=g.n, m=g.m, algorithm=args.algo,
         time_ns=s.wall_time_ns, edge_inspections=s.edge_inspections,
         successful_relaxations=s.successful_relaxations,
         outer_iterations=s.outer_iterations, check=check)))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    g = read_file(args.graph)
-    k = _k_for([args.base, args.jfr], args.k)
-    base = _timed_run(args.base, g, args.source, k, args.repetitions)
-    jfr = _timed_run(args.jfr, g, args.source, k, args.repetitions)
-    cm = compare(base.stats, jfr.stats)
-    _write_csv(None, COMPARE_SCHEMA_TAG,
-               ["graph", "base_algo", "jfr_algo", "ops_base", "ops_jfr",
-                "time_base_ns", "time_jfr_ns", "rho_ops", "rho_tpr",
-                "check_base", "check_jfr"],
-               [[args.graph, args.base, args.jfr, cm.ops_base, cm.ops_jfr,
-                 cm.time_base_ns, cm.time_jfr_ns, f"{cm.rho_ops:.6f}",
-                 f"{cm.rho_tpr:.6f}", _check(g, args.source, base),
-                 _check(g, args.source, jfr)]])
     return 0
 
 
@@ -253,10 +211,15 @@ def cmd_suite(args) -> int:
                          *(f"{statistics.fmean(c):.1f}" for c in counts),
                          "PASS" if set(checks) == {"PASS"} else "FAIL"])
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
-    _write_csv(args.out, SCHEMA_TAG,
-               ["id", "family", "n", "m", "algorithm", "instances", "time_ns",
-                "edge_inspections", "successful_relaxations",
-                "outer_iterations", "check"], rows)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(SCHEMA_TAG + "\n")
+        writer = csv.writer(out)
+        writer.writerow(["id", "family", "n", "m", "algorithm", "instances",
+                         "time_ns", "edge_inspections",
+                         "successful_relaxations", "outer_iterations",
+                         "check"])
+        writer.writerows(rows)
     if args.out:
         print(f"wrote {len(rows)} rows -> {args.out}")
     return 0
@@ -345,15 +308,6 @@ def _build_parser():
     p.add_argument("--check", action="store_true")
     p.add_argument("--out", help="write full labels to a JSON file")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compare", help="baseline vs jump-frontier on one graph")
-    p.add_argument("graph")
-    p.add_argument("--base", default="slf")
-    p.add_argument("--jfr", default="jfr-pq")
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--k", type=int, help=f"jfr depth (default {DEFAULT_K})")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("suite", help="run a suite spec (default: desk suite)")
     p.add_argument("spec", nargs="?")

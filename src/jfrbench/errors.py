@@ -24,7 +24,7 @@ class NegativeSelfLoop(JfrError):
 
 
 class GraphTooLarge(JfrError):
-    """The vertex count is too large to allocate the CSR offsets."""
+    """A vertex or edge count too large to index or to allocate."""
 
 
 # --- edge-list text format ---

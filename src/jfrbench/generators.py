@@ -72,7 +72,7 @@ from bisect import bisect_right
 from itertools import chain, repeat
 from operator import truediv
 
-from .errors import SpecInvalid
+from .errors import GraphTooLarge, SpecInvalid
 from .graph import SCALE, EdgeListDoc, Graph, from_columns, from_edge_list
 
 
@@ -85,6 +85,16 @@ def _check_ranges(n, m):
         raise SpecInvalid("n must be an int >= 1")
     if m < 0:
         raise SpecInvalid("m must be >= 0")
+    _check_size(n, m)
+
+
+def _check_size(n, m):
+    """Raise GraphTooLarge for a graph of ``n`` vertices and ``m`` edges
+    that no list can index, before a generator builds anything per vertex
+    or per edge."""
+    if max(n, m) > sys.maxsize:
+        raise GraphTooLarge(f"n={n} vertices and m={m} edges are past the "
+                            f"index range {sys.maxsize}")
 
 
 def _from_buckets(n: int, heads: list, weights: list) -> Graph:
@@ -185,9 +195,10 @@ def gen_windmill(blades: int, blade_size: int, seed: int,
         raise SpecInvalid("blade_size must be >= 2")
     if weight_lo <= 0 or weight_lo > weight_hi:
         raise SpecInvalid("windmill weights must be positive")
+    n = blades * (blade_size - 1) + 1
+    _check_size(n, blades * blade_size * (blade_size - 1))
     rng = random.Random(seed)
     rand, span = rng.random, weight_hi - weight_lo
-    n = blades * (blade_size - 1) + 1
     heads = [[] for _ in range(n)]
     weights = [[] for _ in range(n)]
     for b in range(blades):
@@ -212,8 +223,9 @@ def gen_slf_killer(n: int, seed: int) -> Graph:
     """
     if n < 8:
         raise SpecInvalid("slf-killer needs n >= 8")
-    rng = random.Random(seed)
     t = (n - 3) // 3
+    _check_size(n, n - 1 + t)
+    rng = random.Random(seed)
     fan = n - 3 - 2 * t  # amplifier out-degree
     # trunk has one zero-out-degree sentinel at the end so that every
     # improver is enqueued while the deque front still holds a tiny trunk
@@ -259,6 +271,8 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
         raise SpecInvalid("pq-killer needs 1 <= levels <= 32")
     if detour < 1:
         raise SpecInvalid("pq-killer needs detour >= 1")
+    n = levels * (detour + 1) + 1
+    _check_size(n, levels * (detour + 2))
     edges = []
     for j in range(levels, 0, -1):
         top = (levels - j) * (detour + 1)  # s_j
@@ -267,7 +281,7 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
         saving = float(2 ** (j - 1))
         weights = [float(j)] + [0.0] * (detour - 1) + [-(j + saving)]
         edges += zip(path, path[1:], weights)
-    return from_edge_list(EdgeListDoc(levels * (detour + 1) + 1, edges))
+    return from_edge_list(EdgeListDoc(n, edges))
 
 
 def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,

@@ -149,18 +149,16 @@ def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
 
     Keeps the relative order of each vertex's out-edges; tails in any other
     than CSR order are sorted stably.  Heads are mapped through one
-    ``list(range(n))`` table, so ``targets`` holds one plain int object
-    per vertex, however many edges point at it.  Raises SpecInvalid for a
-    vertex count that is not an int >= 0, GraphTooLarge for one past
-    memory, and else what :func:`_raise_first_fault` raises.
+    ``list(range(max(heads) + 1))`` table, so ``targets`` holds one plain
+    int object per vertex, however many edges point at it.  Raises
+    SpecInvalid for a vertex count that is not an int >= 0, else what
+    :func:`_raise_first_fault` raises, and GraphTooLarge for a graph past
+    memory.
     """
     if type(n) is not int or n < 0:
         raise SpecInvalid(f"vertex count {n!r} is not an int >= 0")
-    try:  # ids: one int object per vertex for targets to share
-        offsets, ids = [0] * (n + 1), list(range(n))
-    except (MemoryError, OverflowError):
-        raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
     given = tails, heads, weights  # in input order, for the error walk
+    top = -1  # the largest head
     try:  # an int sum holds no float, str or other non-int endpoint
         if not all(map(le, tails, islice(tails, 1, None))):
             order = sorted(range(len(tails)), key=tails.__getitem__)
@@ -168,13 +166,17 @@ def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
                                      for column in given)
         valid = (type(sum(tails)) is int and type(sum(heads)) is int
                  and (not tails or 0 <= tails[0] and tails[-1] < n
-                      and 0 <= min(heads) and max(heads) < n))
+                      and 0 <= min(heads) and (top := max(heads)) < n))
     except TypeError:  # endpoints that do not compare or add up
         valid = False
     units = _units(weights) if valid else None
     if units is None or min(compress(units, map(eq, tails, heads)),
                             default=0) < 0:
         _raise_first_fault(n, *given)
+    try:  # ids: one int object per head vertex for targets to share
+        offsets, ids = [0] * (n + 1), list(range(top + 1))
+    except (MemoryError, OverflowError):
+        raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
     targets = list(map(ids.__getitem__, heads))
     del ids  # frees the ids no edge points at before the offsets are laid
     offsets[1:] = map(bisect_right, repeat(tails), range(n))

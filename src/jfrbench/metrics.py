@@ -21,10 +21,6 @@ from .results import RunStats
 
 @dataclass
 class Comparison:
-    ops_base: int
-    ops_jfr: int
-    time_base_ns: int
-    time_jfr_ns: int
     rho_ops: float
     rho_tpr: float
 
@@ -43,11 +39,8 @@ def compare(base: RunStats, jfr: RunStats) -> Comparison:
         raise ZeroOps("both runs must have a positive inspection count")
     if t_b <= 0 or t_j <= 0:
         raise ZeroOps("both runs must have a positive wall time")
-    rho_ops = ops_b / ops_j
-    rho_tpr = (t_j / ops_j) / (t_b / ops_b)
-    return Comparison(ops_base=ops_b, ops_jfr=ops_j,
-                      time_base_ns=t_b, time_jfr_ns=t_j,
-                      rho_ops=rho_ops, rho_tpr=rho_tpr)
+    return Comparison(rho_ops=ops_b / ops_j,
+                      rho_tpr=(t_j / ops_j) / (t_b / ops_b))
 
 
 @dataclass

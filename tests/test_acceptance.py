@@ -204,14 +204,14 @@ def desk_comparisons():
                          blade_size=entry.get("blade_size"))
             base = run_algorithm("slf", g, 0)
             jfr = run_algorithm("jfr-pq", g, 0)
-            pairs.append(compare(base.stats, jfr.stats))
+            pairs.append((compare(base.stats, jfr.stats),
+                          base.stats.wall_time_ns / jfr.stats.wall_time_ns))
     return pairs
 
 
 def test_criterion_5_metric_identities(desk_comparisons):
-    worst = max(abs(c.rho_ops / c.rho_tpr
-                    / (c.time_base_ns / c.time_jfr_ns) - 1.0)
-                for c in desk_comparisons)
+    worst = max(abs(c.rho_ops / c.rho_tpr / clock_ratio - 1.0)
+                for c, clock_ratio in desk_comparisons)
     ok = worst <= 1e-12
     report(f"ACCEPTANCE 5 metric identities: {'PASS' if ok else 'FAIL'} — "
            f"{len(desk_comparisons)} comparisons, max "

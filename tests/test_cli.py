@@ -100,11 +100,6 @@ def test_run_jfr_pq_honors_k(capsys, tmp_path):
         assert row["check"] == "PASS"
         ops[k] = row["edge_inspections"]
     assert ops["1"] != ops["4"] and ops[None] == ops["2"]  # default k = 2
-    # a given k reaches the jfr side of a comparison with a baseline
-    code, out, _ = run_cli(capsys, "compare", g, "--base", "slf", "--k", "1")
-    assert code == 0
-    assert int(dict(zip(*csv.reader(out.splitlines()[1:3])))["ops_jfr"]) \
-        == ops["1"]
     code, _, err = run_cli(capsys, "run", g, "--algo", "jfr-pq", "--k", "0")
     assert code == 1 and "error: k must be >= 1" in err
 
@@ -130,21 +125,6 @@ def test_run_dijkstra_rejects_negative(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: unknown algorithm") \
         and err.count("\n") == 1
-
-
-def test_compare_same_algorithm_is_neutral(capsys, tmp_path):
-    g = gen_graph(capsys, tmp_path, "--family", "sparse-random",
-                  "--n", "100", "--m", "400")
-    code, out, _ = run_cli(capsys, "compare", g, "--base", "spfa",
-                           "--jfr", "spfa", "--repetitions", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "#schema=3"
-    row = dict(zip(*csv.reader(lines[1:3])))
-    assert "predicted_speedup" not in row and "observed_speedup" not in row
-    assert "nwr" not in row  # 1 / rho_ops
-    assert float(row["rho_ops"]) == 1.0
-    assert row["check_base"] == row["check_jfr"] == "PASS"
 
 
 def write_suite(tmp_path, **overrides):
@@ -357,8 +337,6 @@ def _with_huge_header(cmd, n):
 MALFORMED = {
     "run-repetitions-0": lambda tmp_path, graph: [
         "run", graph, "--algo", "bf", "--repetitions", "0"],
-    "compare-repetitions-0": lambda tmp_path, graph: [
-        "compare", graph, "--repetitions", "0"],
     "suite-repetitions-string": _suite_with(repetitions="3"),
     "suite-k-string": _suite_with(k="2"),
     "suite-k-without-jfr": _suite_with(k=-4, algorithms=["bf"]),
@@ -376,8 +354,6 @@ MALFORMED = {
          "weight_hi": 2 ** 1024 - 1}]),
     "run-k-without-jfr": lambda tmp_path, graph: [
         "run", graph, "--algo", "bf", "--k", "-5"],
-    "compare-k-without-jfr": lambda tmp_path, graph: [
-        "compare", graph, "--base", "bf", "--jfr", "slf", "--k", "-3"],
     "suite-entry-n-string": _suite_with(entries=[
         {"family": "slf-killer", "n": "60"}]),
     "suite-spec-list": lambda tmp_path, graph: [
@@ -416,6 +392,19 @@ MALFORMED = {
     "gen-neg-dense-weight-lo-at-no-negative-share": lambda tmp_path, graph: [
         "gen", "--family", "neg-dense", "--n", "10", "--m", "20",
         "--neg-fraction", "0", "--weight-lo", "0.0001"],
+    # a vertex or edge count past the index range, refused before any
+    # per-vertex list is built: the bucket families would build until
+    # memory runs out
+    **{f"gen-{family}-{flag[2:]}-past-index-range":
+       lambda tmp_path, graph, family=family, flag=flag, rest=rest: [
+           "gen", "--family", family, flag, str(10 ** 30), *rest]
+       for family, flag, rest in (
+           ("slf-killer", "--n", []),
+           ("pq-killer", "--detour", ["--levels", "3"]),
+           ("sparse-random", "--n", ["--m", "10"]),
+           ("sparse-random", "--m", ["--n", "10"]),
+           ("neg-dense", "--n", ["--m", "10"]),
+           ("windmill", "--blades", ["--blade-size", "3"]))},
     "run-graph-negative-header": lambda tmp_path, graph: [
         "run", _file_arg(tmp_path, "h.txt", "-1 0\n"), "--algo", "bf"],
     "run-graph-only-a-comment": lambda tmp_path, graph: [

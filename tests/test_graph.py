@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import subprocess
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from itertools import accumulate
@@ -141,6 +142,8 @@ BUILDS = {
     "read_file-line-loop": lambda tmp: _read_bytes(
         tmp, b"# a comment\n" + _neg_dense_text()),
     "from_edge_list": lambda tmp: from_edge_list(read_text(_neg_dense_text())),
+    "from_columns-heads-below-n": lambda tmp: graph.from_columns(
+        10 ** 5, [0, 0, 1, 1, 2], [300, 700, 700, 300, 299], [1.0] * 5),
 }
 
 
@@ -150,6 +153,18 @@ def test_targets_hold_one_int_object_per_vertex(tmp_path, build):
     counts = Counter(g.targets)
     assert any(v > 256 and count > 1 for v, count in counts.items())
     assert len(set(map(id, g.targets))) == len(set(g.targets))
+
+
+def test_an_edgeless_graph_builds_no_id_table():
+    # the offsets and their slice assignment peak at 23.3 MiB; a table of
+    # 10^6 ids would add 36 B a vertex
+    tracemalloc.start()
+    try:
+        g = graph.from_columns(10 ** 6, [], [], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (10 ** 6, 0) and peak <= 24 * 2 ** 20
 
 
 def bad_edges(n):
