@@ -15,7 +15,8 @@ starting with ``#`` are comments and do not count toward ``m``.  Canonical
 text is exactly what ``write_text`` writes: ``n m\n``, then ``t h w\n``
 lines with single spaces, ASCII digits and tails in CSR order.  Both
 readers scan canonical bytes a 16-KiB slice at a time, with no Python loop
-per line or edge, and any other text a line at a time, which raises each
+per line or edge (a ``bytes.translate`` check of the lines, then ``json``'s
+C number parser), and any other text a line at a time, which raises each
 parse error with its line number.  Either way the text becomes edge
 columns, and one builder, ``from_columns``, judges every edge and lays
 out the CSR arrays, for ``read_file``, ``from_edge_list`` and the
@@ -26,9 +27,10 @@ in a float; their magnitudes sum to at most 2^52, so every path sum is
 exact.  ``to_edge_list`` and the CLI's JSON convert back to whole units.
 """
 
+import json
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, le, mul, sub, truediv
@@ -174,12 +176,13 @@ def from_columns(n: int, tails: list, heads: list, weights: list) -> Graph:
                             default=0) < 0:
         _raise_first_fault(n, *given)
     try:  # ids: one int object per head vertex for targets to share
-        offsets, ids = [0] * (n + 1), list(range(top + 1))
+        ids = list(range(top + 1))
+        [0] * (n + 1)  # refuses offsets past memory at once, then frees them
     except (MemoryError, OverflowError):
         raise GraphTooLarge(f"n={n} vertices do not fit in memory") from None
     targets = list(map(ids.__getitem__, heads))
     del ids  # frees the ids no edge points at before the offsets are laid
-    offsets[1:] = map(bisect_right, repeat(tails), range(n))
+    offsets = list(map(bisect_left, repeat(tails), range(n + 1)))
     return Graph(n, offsets, targets, units)
 
 
@@ -204,35 +207,41 @@ def write_text(doc: EdgeListDoc) -> bytes:
 
 
 _CANONICAL_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")
-# matched and split a slice at a time, so sre's backtracking stack and the
-# tokens stay small (a possessive *+ bounds the stack too, but needs 3.11)
-_CANONICAL_LINES = re.compile(rb"(?:[0-9]+ [0-9]+ [-+.e0-9]+\n)*")
-_SLICE_BYTES = 1 << 14
+_SLICE_BYTES = 1 << 14  # so the copies and tokens of a slice stay small
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def _scan_canonical(data: bytes) -> "tuple | None":
     """``(n, tails, heads, weights)`` of canonical text, scanned with no
-    loop per line or edge, or None for any other text."""
+    loop per line or edge, or None wherever the line loop might differ."""
     header = _CANONICAL_HEADER.match(data)
-    if header is None:
+    if header is None or not data.endswith(b"\n"):  # a cut-off last line
         return None
     tails, heads, weights = [], [], []
     start = header.end()
     try:
         n, m = int(header[1]), int(header[2])
         while start < len(data):
-            # newline-aligned slices; the last one runs to the end
+            # newline-aligned slices; the last one ends the data
             end = data.find(b"\n", start + _SLICE_BYTES) + 1 or len(data)
-            if _CANONICAL_LINES.fullmatch(data, start, end) is None:
+            chunk = data[start:end]
+            # a line less its number characters is "  \n"; an int weight
+            # leaves " \n" in marks, and json reads "-0" as 0, not -0.0
+            marks = chunk.translate(None, b"0123456789+-")
+            if (marks.translate(None, b".e") != b"  \n" * marks.count(b"\n")
+                    or b" \n" in marks):
                 return None
-            tokens = data[start:end].split()
-            tails += map(int, islice(tokens, 0, None, 3))
-            heads += map(int, islice(tokens, 1, None, 3))
-            weights += map(float, islice(tokens, 2, None, 3))
+            # json reads numbers as int() and float() do; "+1", "01" raise
+            tokens = json.loads(b"[" + chunk[:-1].translate(_TO_COMMAS) + b"]")
+            tails += tokens[0::3]
+            heads += tokens[1::3]
+            weights += tokens[2::3]
             start = end
     except (ValueError, MemoryError):
         return None
-    return (n, tails, heads, weights) if len(tails) == m else None
+    # a float endpoint ("1.0", "1e3") is a parse error of the line loop
+    ints = type(sum(tails)) is int and type(sum(heads)) is int
+    return (n, tails, heads, weights) if ints and len(tails) == m else None
 
 
 def read_text(data: "bytes | str") -> EdgeListDoc:

@@ -128,16 +128,21 @@ def _neg_dense_text():
     return write_text(generate("neg-dense", 2, n=1000, m=5000).to_edge_list())
 
 
-# every way a graph is built, on vertex ids past CPython's shared small
-# ints (-5 to 256), with heads that repeat
-BUILDS = {
+# every generated graph, each of whose texts spans several slices:
+# slf-killer's weights start at 1e-06, pq-killer's reach -2147483680.0
+GENERATED = {
     "sparse-random": lambda tmp: generate("sparse-random", 1, n=1000, m=5000),
     "neg-dense": lambda tmp: generate("neg-dense", 1, n=1000, m=5000),
     "windmill": lambda tmp: generate("windmill", 1, blades=30, blade_size=12),
-    "slf-killer": lambda tmp: generate("slf-killer", 1, n=1000),
-    "pq-killer": lambda tmp: generate("pq-killer", 1, levels=10, detour=40),
+    "slf-killer": lambda tmp: generate("slf-killer", 1, n=3000),
+    "pq-killer": lambda tmp: generate("pq-killer", 1, levels=32, detour=150),
     "plant_negative_cycle": lambda tmp: plant_negative_cycle(
         generate("sparse-random", 1, n=1000, m=5000), 400, 1),
+}
+# every way a graph is built, on vertex ids past CPython's shared small
+# ints (-5 to 256), with heads that repeat
+BUILDS = {
+    **GENERATED,
     "read_file-canonical": lambda tmp: _read_bytes(tmp, _neg_dense_text()),
     "read_file-line-loop": lambda tmp: _read_bytes(
         tmp, b"# a comment\n" + _neg_dense_text()),
@@ -156,15 +161,15 @@ def test_targets_hold_one_int_object_per_vertex(tmp_path, build):
 
 
 def test_an_edgeless_graph_builds_no_id_table():
-    # the offsets and their slice assignment peak at 23.3 MiB; a table of
-    # 10^6 ids would add 36 B a vertex
+    # the 10^6 + 1 offsets, grown in place, peak at 8.1 MiB; a table of
+    # 10^6 ids would add 36 B a vertex, a temporary offsets list 15 MiB
     tracemalloc.start()
     try:
         g = graph.from_columns(10 ** 6, [], [], [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (g.n, g.m) == (10 ** 6, 0) and peak <= 24 * 2 ** 20
+    assert (g.n, g.m) == (10 ** 6, 0) and peak <= 9 * 2 ** 20
 
 
 def bad_edges(n):
@@ -322,8 +327,11 @@ def _replace_space(lines, rnd, by):
     lines[i] = lines[i].replace(" ", by, 1)
 
 
+# with the tokens that json, the canonical scanner's number parser, reads
+# otherwise than int() and float() do, or not at all
 WEIGHTS = ["1e999", "inf", "nan", "-inf", "+3", "-0.0", "1e-05", "0003.5",
-           "1e", "."]
+           "1e", ".", "-0", "5", "1E5", "-.5", "5.", "1e+16"]
+ENDPOINTS = ["+1", "-0", "1.0", "1e0"]
 # token and header edits first, then the layout edits that would hide
 # the tokens from them
 PERTURBATIONS = {
@@ -333,6 +341,8 @@ PERTURBATIONS = {
         lines, rnd, 2, lambda w: rnd.choice(WEIGHTS)),
     "endpoint-n": lambda lines, rnd: _set_token(
         lines, rnd, rnd.randrange(2), lambda v: lines[0].split(" ")[0]),
+    "endpoint": lambda lines, rnd: _set_token(
+        lines, rnd, rnd.randrange(2), lambda v: rnd.choice(ENDPOINTS)),
     "leading-zeros": lambda lines, rnd: _set_token(
         lines, rnd, rnd.randrange(3), lambda t: "00" + t),
     "tails-out-of-order": lambda lines, rnd: lines.__setitem__(
@@ -345,6 +355,8 @@ PERTURBATIONS = {
         rnd.randint(1, len(lines)), ""),
     "crlf": lambda lines, rnd: lines.__setitem__(
         slice(None), [line + "\r" for line in lines]),
+    "cut-off": lambda lines, rnd: lines.__setitem__(  # and no final newline
+        -1, lines[-1].split(" ")[0]),
 }
 
 
@@ -358,7 +370,8 @@ def graph_texts(draw):
     for name, perturb in PERTURBATIONS.items():
         if name in chosen:
             perturb(lines, rnd)
-    final_newline = draw(st.booleans()) or draw(st.booleans())
+    final_newline = "cut-off" not in chosen and (
+        draw(st.booleans()) or draw(st.booleans()))
     return ("\n".join(lines) + "\n" * final_newline).encode("ascii")
 
 
@@ -391,6 +404,11 @@ def _doc_outcome(read, arg):
 @example(data=b"2 2\n0 1 1.0\n")  # m off by one
 @example(data=b"1000000000000000 0\n")  # n + 1 offsets past memory
 @example(data=b"10000000000000000000 0\n")  # past the index range
+@example(data=b"2 1\n0 1 -0\n")  # json reads the int 0, float() -0.0
+@example(data=b"2 1\n-0 1 1.0\n")  # an endpoint that int() reads as 0
+@example(data=b"3 2\n1 2\n0.5 1 2 0.5\n")  # six tokens, but two lines
+@example(data=b"3 0\n7")  # a bare number after the last newline
+@example(data=b"13 2\n0 1 1.5\n12")  # cut off; json once read 1 of 12
 def test_read_file_agrees_with_the_line_loop(tmp_path, data):
     path = tmp_path / "g.txt"
     path.write_bytes(data)
@@ -402,21 +420,25 @@ def test_read_file_agrees_with_the_line_loop(tmp_path, data):
 
 
 def test_canonical_text_never_enters_the_line_loop(tmp_path, monkeypatch):
-    g = generate("neg-dense", 5, n=1000, m=5000, neg_fraction=0.3)
     path = tmp_path / "g.txt"
-    write_file(path, g)
-    data = path.read_bytes()
-    assert len(data) > 3 * graph._SLICE_BYTES  # several slices
-    want = _doc_outcome(read_text, data.decode("ascii"))
+    texts = {}
+    for family, build in GENERATED.items():
+        g = build(tmp_path)
+        write_file(path, g)
+        data = path.read_bytes()
+        assert len(data) > 3 * graph._SLICE_BYTES, family  # several slices
+        texts[family] = g, data, _doc_outcome(read_text, data.decode("ascii"))
 
     def line_loop(data):
         raise AssertionError("canonical text went through the line loop")
     monkeypatch.setattr(graph, "_read_lines", line_loop)
-    got = read_file(path)
-    assert got == g and list(map(repr, got.weights)) == \
-        list(map(repr, g.weights))
-    assert _doc_outcome(read_text, data) == want
-    assert from_edge_list(read_text(data)) == g
+    for family, (g, data, want) in texts.items():
+        path.write_bytes(data)
+        got = read_file(path)
+        assert got == g and list(map(repr, got.weights)) == \
+            list(map(repr, g.weights)), family
+        assert _doc_outcome(read_text, data) == want, family
+        assert from_edge_list(read_text(data)) == g, family
     with pytest.raises(AssertionError, match="line loop"):
         read_text(data.decode("ascii"))  # str input is read a line at a time
     with pytest.raises(AssertionError, match="line loop"):
