@@ -10,10 +10,11 @@ Determinism: re-running any command with identical flags reproduces the
 operation-count columns byte for byte; only wall times vary.  Instance i
 of every suite entry uses seed = base_seed + i, so any row can be
 regenerated in isolation.  Suite instances run one after another, so no
-run's time is inflated by another's.  Every PASS/FAIL is the
-Bellman-Ford oracle's verdict (:func:`jfrbench.verify.oracle_verdict`),
-reached by :func:`jfrbench.verify.certify`: a linear certificate stands in
-for the re-solve whenever it vouches for the result.
+run's time is inflated by another's.  Every PASS/FAIL is
+``certify(...).ok`` (:func:`jfrbench.verify.certify`), as ``verify``'s
+exit status is: the Bellman-Ford oracle's distances and negative-cycle
+flag, and for an unflagged result the audit's triangle and parent checks
+too.  Any FAIL makes ``run`` and ``suite`` exit 1, as it does ``verify``.
 """
 
 import argparse
@@ -62,30 +63,32 @@ DESK_SUITE = {
 
 def run_algorithm(name: str, g: Graph, source: int,
                   k: int = DEFAULT_K) -> SsspResult:
-    if name not in ALGORITHMS:
-        raise UnknownAlgorithm(f"unknown algorithm {name!r}; "
-                               f"choose from {', '.join(ALGORITHMS)}")
     if name not in READS_K:
         return ALGORITHMS[name](g, source)
     return ALGORITHMS[name](g, source, k)
 
 
-def _k_for(algorithms, k):
-    """The k to run ``algorithms`` with: the jfr default unless one is
-    given, and a k given where no algorithm reads it is an error."""
-    if k is not None and not any(a in READS_K for a in algorithms):
-        raise SpecInvalid(f"k applies only to {' and '.join(READS_K)}, not "
-                          f"to {' or '.join(algorithms)}")
+def _judge_plan(algorithms, k, repetitions):
+    """The k to run ``algorithms`` with, ``repetitions`` times each, judged
+    before anything runs: each algorithm a name in ALGORITHMS, a k >= 1
+    given only where an algorithm reads it (the jfr default unless one
+    is), and at least one repetition."""
+    for a in algorithms:
+        if type(a) is not str or a not in ALGORITHMS:
+            raise UnknownAlgorithm(f"unknown algorithm {a!r}; "
+                                   f"choose from {', '.join(ALGORITHMS)}")
+    if k is not None and (k < 1 or not any(a in READS_K for a in algorithms)):
+        raise SpecInvalid(f"k must be >= 1 and for {' or '.join(READS_K)}, "
+                          f"got {k} for {', '.join(algorithms)}")
+    if repetitions < 1:
+        raise SpecInvalid(f"repetitions must be >= 1, got {repetitions}")
     return DEFAULT_K if k is None else k
 
 
 def _check(g, source, result) -> str:
-    """PASS when the oracle would give ``result``'s labels and
-    negative-cycle flag, as :func:`certify` finds without re-solving
-    whenever it can."""
-    report = certify(g, source, result)
-    return "PASS" if report.distances_match and report.neg_cycle_agree \
-        else "FAIL"
+    """PASS exactly when ``certify(...).ok``, the rule behind ``verify``'s
+    exit status."""
+    return "PASS" if certify(g, source, result).ok else "FAIL"
 
 
 def _json_label(d):
@@ -107,10 +110,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    k = _judge_plan([args.algo], args.k, args.repetitions)
     g = read_file(args.graph)
-    k = _k_for([args.algo], args.k)
-    if args.repetitions < 1:
-        raise SpecInvalid(f"repetitions must be >= 1, got {args.repetitions}")
     times = []
     for _ in range(args.repetitions):  # counts are the same every run
         result = run_algorithm(args.algo, g, args.source, k)
@@ -126,22 +127,23 @@ def cmd_run(args) -> int:
         with open(args.out, "w") as fh:  # dumps: json.dump skips the C encoder
             fh.write(json.dumps(payload) + "\n")
     print(json.dumps(dict(
-        graph=args.graph, family="file", n=g.n, m=g.m, algorithm=args.algo,
-        time_ns=s.wall_time_ns, edge_inspections=s.edge_inspections,
+        graph=args.graph, source=args.source, n=g.n, m=g.m,
+        algorithm=args.algo, k=s.k, time_ns=s.wall_time_ns,
+        edge_inspections=s.edge_inspections,
         successful_relaxations=s.successful_relaxations,
         outer_iterations=s.outer_iterations, check=check)))
-    return 0
+    return int(check == "FAIL")
 
 
-def _load_suite(path):
-    if path is None:
-        return DESK_SUITE
+def _read_json(path, what):
+    """The JSON value the file ``path`` holds; any other content is a
+    SpecInvalid that names the file as ``what``."""
     with open(path) as fh:
         try:
             return json.load(fh)
         # not JSON, not UTF-8, too long an int, or nested too deep
         except (ValueError, RecursionError) as exc:
-            raise SpecInvalid(f"suite spec {path}: {exc}") from None
+            raise SpecInvalid(f"{what} {path}: {exc}") from None
 
 
 def _expect(ok, what, value):
@@ -162,21 +164,13 @@ def _plan_suite(spec):
     for key in ("seed", "repetitions", "k"):
         value = spec.get(key, 0)
         _expect(type(value) is int, f"{key!r} must be an integer", value)
-    reps = spec.get("repetitions", 1)
-    if reps < 1:
-        raise SpecInvalid("repetitions must be >= 1")
     algos = spec.get("algorithms", [])
     entries = spec.get("entries", [])
-    _expect(isinstance(algos, list), "'algorithms' must be a list", algos)
-    if not algos:
-        raise SpecInvalid("at least one algorithm must be selected")
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise UnknownAlgorithm(f"unknown algorithm {a!r} in suite spec")
-    _expect(isinstance(entries, list), "'entries' must be a list", entries)
-    if not entries:
-        raise SpecInvalid("suite has no entries")
-    k = _k_for(algos, spec.get("k"))
+    _expect(isinstance(algos, list) and algos,
+            "'algorithms' must be a nonempty list", algos)
+    k = _judge_plan(algos, spec.get("k"), reps := spec.get("repetitions", 1))
+    _expect(isinstance(entries, list) and entries,
+            "'entries' must be a nonempty list", entries)
     plan = []
     for entry in entries:
         _expect(isinstance(entry, dict) and "family" in entry,
@@ -192,7 +186,9 @@ def _plan_suite(spec):
 
 
 def cmd_suite(args) -> int:
-    seed, reps, k, algos, plan = _plan_suite(_load_suite(args.spec))
+    seed, reps, k, algos, plan = _plan_suite(
+        DESK_SUITE if args.spec is None
+        else _read_json(args.spec, "suite spec"))
     rows = []
     for entry_id, family, params in plan:
         runs = {algo: [] for algo in algos}
@@ -222,7 +218,7 @@ def cmd_suite(args) -> int:
         writer.writerows(rows)
     if args.out:
         print(f"wrote {len(rows)} rows -> {args.out}")
-    return 0
+    return int(any(row[-1] == "FAIL" for row in rows))
 
 
 def _label(d, path):
@@ -242,11 +238,7 @@ def _label(d, path):
 
 def _load_result(path, g):
     """Read a ``run --out`` file into (source, candidate result)."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise SpecInvalid(f"result file {path}: {exc}") from None
+    payload = _read_json(path, "result file")
     if not isinstance(payload, dict) or not isinstance(payload.get("dist"),
                                                        list):
         raise SpecInvalid(f"result file {path}: no \"dist\" label list")

@@ -287,13 +287,11 @@ def gen_pq_killer(levels: int, detour: int, seed: int) -> Graph:
 def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
                          total_weight: float = -0.5) -> Graph:
     """Fault injection for detection tests: append a cycle of
-    ``cycle_len`` fresh edges whose weights sum to ``total_weight`` (< 0),
-    plus an edge from vertex 0 to the cycle unless 0 lies on it.
+    ``cycle_len`` fresh edges whose weights sum to ``total_weight`` (< 0 at
+    6 digits), plus an edge from vertex 0 to the cycle unless 0 lies on it.
     """
     if cycle_len < 2 or cycle_len > g.n:
         raise SpecInvalid("cycle_len must be in [2, n]")
-    if total_weight >= 0:
-        raise SpecInvalid("total_weight must be negative")
     rng = random.Random(seed)
     members = rng.sample(range(g.n), cycle_len)
     edges = []
@@ -305,6 +303,8 @@ def plant_negative_cycle(g: Graph, cycle_len: int, seed: int,
         partial += w
         edges.append((members[i], members[i + 1], w))
     edges.append((members[-1], members[0], _r6(total_weight - partial)))
+    if not _r6(partial + edges[-1][2]) < 0:  # the cycle's weight as planted
+        raise SpecInvalid("total_weight must be negative at 6 digits")
     columns = (g.tails(), g.targets[:],
                list(map(truediv, g.weights, repeat(SCALE))))
     for edge in edges:  # after its tail's edges, so the tails stay sorted

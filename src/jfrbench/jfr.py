@@ -81,11 +81,11 @@ def lmh_propagate(ws: LmhWorkspace, seeds, k: int):
     where the window is the distinct vertices whose out-edges the call
     relaxed (each at most once per wave; a seed listed twice is scanned
     once), so ``inspections <= depth * window_degree_sum``.  Returns the
-    strictly improved vertices in first-improvement order.  A ``k < 1``
-    or no seeds raises ``SpecInvalid``.
+    strictly improved vertices in first-improvement order.  A ``k`` that
+    is not an ``int`` >= 1, or no seeds, raises ``SpecInvalid``.
     """
-    if k < 1:
-        raise SpecInvalid(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise SpecInvalid(f"k must be >= 1 and an int, got {k!r}")
     if not seeds:
         raise SpecInvalid("seeds must be nonempty")
     g, dist, parent, stats = ws.g, ws.dist, ws.parent, ws.stats

@@ -40,8 +40,8 @@ properties computed from stored ones.
 Every solver starts from :func:`start_run`: the source at label 0 and
 every other vertex at ``inf`` with no parent, and a ``RunStats`` whose
 ``activations`` and ``improvements`` hold one zero per vertex.  It also
-rejects a source that is not an ``int`` in ``[0, n)`` (``True`` and
-``0.0`` included) and a depth ``k < 1``.
+rejects a source that is not an ``int`` in ``[0, n)`` and a depth ``k``
+that is not an ``int`` >= 1, ``True`` and floats included.
 """
 
 import math
@@ -94,8 +94,8 @@ def start_run(g, source: int, mode: str, k: "int | None" = None):
     """The start state of a ``mode`` solve of ``g`` from ``source`` at
     depth ``k`` (None: the mode reads no depth): ``(dist, parent,
     stats)``."""
-    if k is not None and k < 1:
-        raise SpecInvalid(f"k must be >= 1, got {k}")
+    if k is not None and (type(k) is not int or k < 1):
+        raise SpecInvalid(f"k must be >= 1 and an int, got {k!r}")
     check_source(g, source)
     n = g.n
     dist = [math.inf] * n

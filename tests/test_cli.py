@@ -86,6 +86,15 @@ def test_run_check_json(capsys, tmp_path):
     assert row["algorithm"] == "jfr-pq"
     assert row["edge_inspections"] > 0
     assert isinstance(row["time_ns"], int)
+    # the row names what reproduces it: the depth (none for a baseline)
+    # and the source
+    assert (row["source"], row["k"]) == (0, 2) and "family" not in row
+    for argv, source, k in ((["--algo", "jfr-strict", "--k", "3"], 0, 3),
+                            (["--algo", "bf", "--source", "5"], 5, None)):
+        code, out, _ = run_cli(capsys, "run", g, *argv)
+        assert code == 0
+        assert strict_json(out)["source"] == source
+        assert strict_json(out)["k"] == k
 
 
 def test_run_jfr_pq_honors_k(capsys, tmp_path):
@@ -108,7 +117,9 @@ def test_run_unknown_algorithm(capsys, tmp_path):
     g = gen_graph(capsys, tmp_path, "--family", "sparse-random",
                   "--n", "10", "--m", "20")
     for argv in (["run", g, "--algo", "bogus"],
-                 ["suite", write_suite(tmp_path, algorithms=["bogus"])]):
+                 ["suite", write_suite(tmp_path, algorithms=["bogus"])],
+                 *(MALFORMED[f"suite-algorithm-{kind}"](tmp_path, g)
+                   for kind in ("list", "object"))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv[0]
         assert err.startswith("error: unknown algorithm") \
@@ -278,6 +289,32 @@ def test_verify_accepts_flagged_negative_cycle_result(capsys, tmp_path):
     assert code == 1 and not strict_json(out)["neg_cycle_agree"]
 
 
+def test_a_parent_edge_that_is_not_tight_fails_every_command(
+        capsys, tmp_path, monkeypatch):
+    # exact labels, but vertex 2's parent edge 0 -> 2 is not tight, so
+    # certify(...).ok is false and every command's verdict is FAIL
+    def broken_parent(g, source):
+        result = bellman_ford(g, source)
+        result.parent[2] = 0
+        return result
+
+    monkeypatch.setitem(ALGORITHMS, "bf", broken_parent)
+    graph = _file_arg(tmp_path, "g.txt", "3 3\n0 1 2.0\n1 2 -1.0\n0 2 5.0\n")
+    result = str(tmp_path / "r.json")
+    code, out, _ = run_cli(capsys, "run", graph, "--algo", "bf", "--check",
+                           "--out", result)
+    assert (code, strict_json(out)["check"]) == (1, "FAIL")
+    code, out, _ = run_cli(capsys, "verify", graph, result)
+    report = strict_json(out)
+    assert code == 1 and report["distances_match"]
+    assert not report["parent_ok"]
+    code, out, err = run_cli(capsys, "suite", write_suite(
+        tmp_path, algorithms=["bf"],
+        entries=[{"family": "slf-killer", "n": 60}]))
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert (code, err, [r["check"] for r in rows]) == (1, "", ["FAIL"])
+
+
 def test_verify_prints_infinite_labels_as_strings(capsys, tmp_path):
     graph = tmp_path / "chain.txt"
     graph.write_text("3 2\n0 1 1.0\n1 2 1.0\n")
@@ -366,6 +403,9 @@ MALFORMED = {
     "suite-spec-nested-too-deep": lambda tmp_path, graph: [
         "suite", _file_arg(tmp_path, "s.json", "[" * 100000)],
     "suite-unknown-key": _suite_with(threads=2),
+    # algorithm names that are not strings
+    "suite-algorithm-list": _suite_with(algorithms=[["slf"]]),
+    "suite-algorithm-object": _suite_with(algorithms=[{"a": 1}]),
     "suite-entry-misspelled-key": _suite_with(entries=[
         {"family": "neg-dense", "n": 40, "m": 200, "neg_fracton": 0.9}]),
     "suite-entry-unknown-key": _suite_with(entries=[
@@ -483,6 +523,15 @@ def test_a_bad_suite_entry_stops_the_suite_before_any_instance(
     code, out, err = run_cli(capsys, "suite", spec)
     assert (code, out, calls) == (1, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_depth_below_1_stops_the_suite_before_any_instance(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "generate", lambda *a, **kw: calls.append(a))
+    code, out, err = run_cli(capsys, "suite", write_suite(tmp_path, k=0))
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: k must be >= 1") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad, edge", [("0 3 1.0", "(0, 3)"),  # head = n
@@ -698,8 +747,8 @@ def suite_entries(draw):
 SPEC_VALUES = {
     "seed": st.integers(0, 10 ** 6), "repetitions": st.just(1),
     "k": st.integers(-1, 4),
-    "algorithms": st.lists(st.sampled_from(tuple(ALGORITHMS) * 4 + ("bogus",)),
-                           min_size=1, max_size=3),
+    "algorithms": st.lists(st.sampled_from(tuple(ALGORITHMS) * 4 + (
+        "bogus", ["slf"], {"jfr-pq": 1})), min_size=1, max_size=3),
     "entries": st.lists(suite_entries(), min_size=1, max_size=2),
     "threads": st.integers(1, 2),  # a key suite specs no longer take
 }
@@ -729,14 +778,14 @@ def test_suite_fuzz_ends_in_csv_or_a_one_line_error(tmp_path, spec):
     if code == 1 and not out:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return
-    assert code == 0 and err == "", (code, err)
     lines = out.splitlines()
     assert lines[0] == "#schema=1"
     rows = list(csv.DictReader(lines[1:]))
-    # FAIL is a verdict, not a crash: on tiny graphs with parallel edges
-    # the queue solvers can flag a cycle that is not there (see
-    # test_parallel_edges_are_not_a_negative_cycle)
-    assert rows and all(r["check"] in ("PASS", "FAIL") for r in rows)
+    # every solver is correct on every family, parallel edges included
+    # (test_parallel_edges_are_not_a_negative_cycle), so a spec that runs
+    # gives only PASS rows and exit 0
+    assert rows and all(r["check"] == "PASS" for r in rows), rows
+    assert code == 0 and err == "", (code, err)
 
 
 @pytest.mark.parametrize("bad", BAD_PARENTS.values(), ids=BAD_PARENTS)

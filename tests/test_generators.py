@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from jfrbench.generators import (FAMILIES, family_args, family_params,
                                  plant_negative_cycle)
 from jfrbench.graph import write_text
 from jfrbench.jfr import jfr_pq
+from jfrbench.paths import cycle_weight
 
 
 def graph_bytes(g):
@@ -152,6 +154,20 @@ def test_plant_negative_cycle_validation():
         plant_negative_cycle(base, 11, seed=1)
     with pytest.raises(SpecInvalid):
         plant_negative_cycle(base, 3, seed=1, total_weight=0.5)
+
+
+def test_plant_negative_cycle_refuses_a_cycle_that_rounds_to_zero():
+    # edge weights keep 6 digits, so a total above -5e-7 plants a cycle of
+    # weight 0, which no solver flags
+    base = gen_sparse_random(30, 120, 1)
+    members = random.Random(3).sample(range(30), 5)
+    for total in (-1e-7, -4e-7, -5e-7, 0.0, math.nan):
+        with pytest.raises(SpecInvalid, match="negative at 6 digits"):
+            plant_negative_cycle(base, 5, 3, total)
+    for total in (-6e-7, -1e-6):
+        g = plant_negative_cycle(base, 5, 3, total)
+        assert cycle_weight(g, members) == -1.0  # micro-units
+        assert bellman_ford(g, 0).neg_cycle
 
 
 def test_generate_dispatcher():

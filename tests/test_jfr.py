@@ -59,6 +59,20 @@ def test_lmh_argument_validation():
         lmh_propagate(ws, [0], 0)
     with pytest.raises(SpecInvalid):
         lmh_propagate(ws, [], 2)
+    for k in (1.0, 2.5, True):
+        with pytest.raises(SpecInvalid):
+            lmh_propagate(ws, [0], k)
+    assert ws.stats.lmh_calls == []
+
+
+@pytest.mark.parametrize("solve, k", [(jfr_pq, 2.5), (jfr_pq, 1.0),
+                                      (jfr_strict, 2.5), (jfr_strict, 1.0),
+                                      (jfr_pq, True), (jfr_strict, True)])
+def test_a_depth_that_is_not_an_int_is_refused(solve, k):
+    # a depth is judged by its type, as a source is
+    g = generate("sparse-random", 1, n=30, m=120)
+    with pytest.raises(SpecInvalid, match="k must be >= 1 and an int"):
+        solve(g, 0, k)
 
 
 def test_lmh_infinite_seeds_are_skipped():
