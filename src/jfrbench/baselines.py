@@ -17,8 +17,7 @@ import time
 from collections import deque
 
 from .graph import Graph
-from .paths import on_parent_cycle
-from .results import SsspResult, start_run
+from .results import SsspResult, on_parent_cycle, start_run
 
 INF = math.inf
 

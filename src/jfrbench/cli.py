@@ -210,7 +210,7 @@ def cmd_suite(args) -> int:
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         out.write(SCHEMA_TAG + "\n")
-        writer = csv.writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "family", "n", "m", "algorithm", "instances",
                          "time_ns", "edge_inspections",
                          "successful_relaxations", "outer_iterations",

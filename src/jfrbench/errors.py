@@ -50,16 +50,12 @@ class SpecInvalid(JfrError):
 # --- algorithms ---
 
 class NoCycleRecorded(JfrError):
-    """Cycle extraction requested on a result that did not flag a negative
-    cycle."""
+    """A result names no cycle: it flags none, its witness is not a vertex
+    or its parent chain meets no cycle, or its parents hold none."""
 
 
 class MissingEdge(JfrError):
     """A cycle steps from a vertex to one the graph has no edge to."""
-
-
-class BrokenParentChain(JfrError):
-    """A cycle witness whose parent chain ends before it meets a cycle."""
 
 
 # --- metrics ---

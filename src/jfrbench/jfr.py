@@ -31,8 +31,7 @@ import time
 
 from .errors import SpecInvalid
 from .graph import Graph
-from .paths import on_parent_cycle
-from .results import RunStats, SsspResult, start_run
+from .results import RunStats, SsspResult, on_parent_cycle, start_run
 
 INF = math.inf
 DEFAULT_K = 2  # the depth jfr_pq and the CLI run with unless given one

@@ -41,7 +41,9 @@ Every solver starts from :func:`start_run`: the source at label 0 and
 every other vertex at ``inf`` with no parent, and a ``RunStats`` whose
 ``activations`` and ``improvements`` hold one zero per vertex.  It also
 rejects a source that is not an ``int`` in ``[0, n)`` and a depth ``k``
-that is not an ``int`` >= 1, ``True`` and floats included.
+that is not an ``int`` >= 1, ``True`` and floats included.  Every solver
+leaves a flagged run through :func:`on_parent_cycle`, whose vertex becomes
+the result's ``cycle_witness``.
 """
 
 import math
@@ -102,3 +104,14 @@ def start_run(g, source: int, mode: str, k: "int | None" = None):
     dist[source] = 0.0
     return dist, [None] * n, RunStats(mode, k=k, activations=[0] * n,
                                       improvements=[0] * n)
+
+
+def on_parent_cycle(parent: list, v: int) -> "int | None":
+    """The vertex ``n = len(parent)`` steps up ``v``'s parent chain, which
+    lies on a parent cycle (n steps over n vertices repeat one), or None
+    if the chain reaches a root first."""
+    for _ in range(len(parent)):
+        v = parent[v]
+        if v is None:
+            return None
+    return v

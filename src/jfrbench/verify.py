@@ -1,8 +1,9 @@
 """Independent correctness checks: a ground-truth oracle comparison, a
-cheap fixed-point audit that needs no second solver run, and
-:func:`certify`, which reaches the oracle's verdict through the audit or
-a negative parent cycle and re-solves only when neither vouches for the
-result.
+cheap fixed-point audit that needs no second solver run, the negative
+cycle a flagged result names (:func:`detect_negative_cycle`, weighed by
+:func:`cycle_weight`), and :func:`certify`, which reaches the oracle's
+verdict through the audit or that cycle and re-solves only when neither
+vouches for the result.
 
 Exact equality is the right comparison here: weights are whole
 micro-units whose magnitudes sum to at most 2^52 (:mod:`jfrbench.graph`),
@@ -17,10 +18,9 @@ from itertools import compress, repeat
 from operator import eq
 
 from .baselines import bellman_ford
-from .errors import MissingEdge, NegCycleResult
+from .errors import MissingEdge, NegCycleResult, NoCycleRecorded
 from .graph import Graph
-from .paths import cycle_weight, parent_cycles
-from .results import SsspResult, check_source
+from .results import SsspResult, check_source, on_parent_cycle
 
 _INF = float("inf")
 
@@ -62,6 +62,85 @@ def oracle_compare(g: Graph, s: int, candidate: SsspResult) -> VerifyReport:
     """Re-solve with Bellman-Ford and judge the candidate by
     :func:`oracle_verdict`."""
     return oracle_verdict(bellman_ford(g, s), candidate)
+
+
+def cycle_weight(g: Graph, cycle: list) -> float:
+    """Edge-weight sum around ``cycle`` (closing edge included), taking the
+    cheapest edge wherever parallels exist.  Raises MissingEdge for a step
+    the graph has no edge for."""
+    offsets, targets, weights = g.offsets, g.targets, g.weights
+    total = 0.0
+    for i, tail in enumerate(cycle):
+        head = cycle[(i + 1) % len(cycle)]
+        best = None
+        for e in range(offsets[tail], offsets[tail + 1]):
+            if targets[e] == head:
+                w = weights[e]
+                if best is None or w < best:
+                    best = w
+        if best is None:
+            raise MissingEdge(f"no edge {tail}->{head} in graph")
+        total += best
+    return total
+
+
+def peel_cycle(parent: list, x: int) -> list:
+    """The parent cycle through ``x``, in forward edge order."""
+    backward = [x]
+    cur = parent[x]
+    while cur != x:
+        backward.append(cur)
+        cur = parent[cur]
+    backward.reverse()
+    return backward
+
+
+def parent_cycles(parent: list) -> list:
+    """Every cycle of the parent graph, each in forward edge order.
+
+    Each vertex has at most one parent, so the cycles are disjoint.  One
+    walk per start vertex stops at the first vertex any walk has already
+    stepped through; a walk that stops on its own chain has met a cycle.
+    Every vertex is stepped through once: O(n).
+    """
+    walk = [-1] * len(parent)  # the start vertex of the walk through v
+    cycles = []
+    for start in range(len(parent)):
+        v = start
+        while v is not None and walk[v] < 0:
+            walk[v] = start
+            v = parent[v]
+        if v is not None and walk[v] == start:
+            cycles.append(peel_cycle(parent, v))
+    return cycles
+
+
+def detect_negative_cycle(result: SsspResult, g: Graph) -> list:
+    """The cycle a flagged result names, in forward edge order; weigh it
+    with :func:`cycle_weight`.
+
+    :func:`on_parent_cycle` walks from ``cycle_witness`` to a parent
+    cycle, which is peeled off; a solver's witness lies on that cycle
+    already.  A result without a witness (one read from a file, say)
+    names the first cycle of its parent graph.  Raises NoCycleRecorded
+    when the result names none: it is unflagged, its witness is not an
+    int in [0, n), or the walk meets no cycle.
+    """
+    if not result.neg_cycle:
+        raise NoCycleRecorded("result does not flag a negative cycle")
+    parent = result.parent
+    x = result.cycle_witness
+    if x is None:
+        cycles = parent_cycles(parent)
+        if not cycles:
+            raise NoCycleRecorded("the parent pointers hold no cycle")
+        return cycles[0]
+    if type(x) is not int or not 0 <= x < len(parent):
+        raise NoCycleRecorded(f"witness {x!r} not in [0, {len(parent)})")
+    x = on_parent_cycle(parent, x)
+    if x is None:
+        raise NoCycleRecorded("the witness's parent chain meets no cycle")
+    return peel_cycle(parent, x)
 
 
 def well_formed_parents(parent, n: int) -> bool:
@@ -121,32 +200,20 @@ def check_optimality_conditions(g: Graph, s: int,
     return report
 
 
-def _reachable(g: Graph, s: int) -> list:
-    """Which vertices a path from ``s`` reaches, in O(n + m)."""
+def _reaches(g: Graph, s: int, v: int) -> bool:
+    """Whether a path from ``s`` reaches ``v``, in O(n + m); the search
+    stops once it finds ``v``."""
     seen = [False] * g.n
     seen[s] = True
     stack = [s]
     offsets, targets = g.offsets, g.targets
-    while stack:
+    while stack and not seen[v]:
         u = stack.pop()
-        for v in targets[offsets[u]:offsets[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
-
-
-def _flag_certified(g: Graph, s: int, parent: list) -> bool:
-    """Whether ``s`` reaches a negative cycle of ``parent``, which proves
-    that Bellman-Ford flags a negative cycle from ``s``."""
-    reach = _reachable(g, s)
-    for cycle in parent_cycles(parent):
-        try:
-            if reach[cycle[0]] and cycle_weight(g, cycle) < 0:
-                return True
-        except MissingEdge:  # a parent edge the graph does not have
-            pass
-    return False
+        for w in targets[offsets[u]:offsets[u + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return seen[v]
 
 
 def certify(g: Graph, s: int, result: SsspResult) -> VerifyReport:
@@ -157,9 +224,9 @@ def certify(g: Graph, s: int, result: SsspResult) -> VerifyReport:
     Unflagged: a passing audit proves that these labels are the exact
     distances, which Bellman-Ford returns unflagged: each finite label is
     the exact weight of its tight tree path, and no edge improves one.
-    Flagged: a negative parent cycle that ``s`` reaches
-    (:func:`_flag_certified`) proves that Bellman-Ford flags too.  Any
-    other result, wrong or with parents the certificate cannot follow, is
+    Flagged: when the cycle that :func:`detect_negative_cycle` names is
+    negative and ``s`` reaches it, Bellman-Ford flags too.  Any other
+    result, wrong or with parents the certificate cannot follow, is
     judged by :func:`oracle_compare`, so the verdict is the oracle's on
     every input.
     """
@@ -169,9 +236,13 @@ def certify(g: Graph, s: int, result: SsspResult) -> VerifyReport:
         audit = check_optimality_conditions(g, s, result)
         if audit.ok:
             return audit
-    elif (well_formed_parents(result.parent, g.n)
-          and _flag_certified(g, s, result.parent)):
-        return VerifyReport()
+    elif well_formed_parents(result.parent, g.n):
+        try:
+            cycle = detect_negative_cycle(result, g)
+            if cycle_weight(g, cycle) < 0 and _reaches(g, s, cycle[0]):
+                return VerifyReport()
+        except (MissingEdge, NoCycleRecorded):
+            pass  # the result names no negative cycle of the graph
     report = oracle_compare(g, s, result)
     if audit is not None:
         report.triangle_ok = audit.triangle_ok

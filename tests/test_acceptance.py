@@ -25,10 +25,9 @@ from jfrbench.generators import (gen_slf_killer, gen_sparse_random, generate,
 from jfrbench.graph import SCALE, EdgeListDoc, from_edge_list
 from jfrbench.jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
 from jfrbench.metrics import bound_check, compare
-from jfrbench.paths import (cycle_weight, detect_negative_cycle,
-                            on_parent_cycle)
-from jfrbench.results import RunStats, SsspResult, start_run
+from jfrbench.results import RunStats, SsspResult, on_parent_cycle, start_run
 from jfrbench.verify import (certify, check_optimality_conditions,
+                             cycle_weight, detect_negative_cycle,
                              oracle_compare)
 
 STRICT_KS = (1, 2, 4, 8)

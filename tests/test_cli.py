@@ -168,6 +168,18 @@ def test_suite_rows_and_checks(capsys, tmp_path):
     assert all(r["instances"] == "2" for r in rows)
 
 
+def test_suite_writes_one_line_ending(capsys, tmp_path):
+    # the schema tag and the csv rows both end in LF, on stdout and in -o
+    spec = write_suite(tmp_path, algorithms=["bf"],
+                       entries=[{"family": "slf-killer", "n": 20}])
+    code, out, err = run_cli(capsys, "suite", spec)
+    assert code == 0, err
+    assert out.startswith("#schema=1\n") and out.count("\n") == 3
+    out_csv = tmp_path / "rows.csv"
+    assert run_cli(capsys, "suite", spec, "-o", str(out_csv))[0] == 0
+    assert "\r" not in out and b"\r" not in out_csv.read_bytes()
+
+
 def test_suite_skips_dijkstra_on_negative_family(capsys, tmp_path):
     # no row is skipped any more: a spec naming "dijkstra" is refused
     # whole, with a one-line error, before any instance runs

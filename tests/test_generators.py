@@ -11,7 +11,7 @@ from jfrbench.generators import (FAMILIES, family_args, family_params,
                                  plant_negative_cycle)
 from jfrbench.graph import write_text
 from jfrbench.jfr import jfr_pq
-from jfrbench.paths import cycle_weight
+from jfrbench.verify import cycle_weight
 
 
 def graph_bytes(g):

@@ -12,7 +12,7 @@ from jfrbench.errors import IndexOutOfRange, SpecInvalid
 from jfrbench.generators import gen_slf_killer, generate
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import LmhWorkspace, jfr_pq, jfr_strict, lmh_propagate
-from jfrbench.paths import cycle_weight, detect_negative_cycle
+from jfrbench.verify import cycle_weight, detect_negative_cycle
 from jfrbench.results import start_run
 
 INF = math.inf

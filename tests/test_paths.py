@@ -2,14 +2,14 @@ import pytest
 
 from conftest import potential_graph, triangle
 from jfrbench.baselines import bellman_ford, spfa_fifo, spfa_slf
-from jfrbench.errors import (BrokenParentChain, JfrError, MissingEdge,
-                             NegCycleResult, NoCycleRecorded)
+from jfrbench.errors import (JfrError, MissingEdge, NegCycleResult,
+                             NoCycleRecorded)
 from jfrbench.generators import gen_sparse_random, plant_negative_cycle
 from jfrbench.graph import EdgeListDoc, from_edge_list
 from jfrbench.jfr import jfr_pq, jfr_strict
-from jfrbench.paths import cycle_weight, detect_negative_cycle, parent_cycles
 from jfrbench.results import RunStats, SsspResult
-from jfrbench.verify import check_optimality_conditions
+from jfrbench.verify import (check_optimality_conditions, cycle_weight,
+                             detect_negative_cycle, parent_cycles)
 
 
 def test_path_weights_are_consistent():
@@ -33,7 +33,7 @@ def test_cycle_weight_missing_edge():
 
 
 def test_path_errors_are_jfr_errors():
-    for error in (BrokenParentChain, MissingEdge, NegCycleResult):
+    for error in (NoCycleRecorded, MissingEdge, NegCycleResult):
         assert issubclass(error, JfrError)
 
 
@@ -86,5 +86,17 @@ def test_detect_witness_walk_that_meets_no_cycle():
                                        (2, 1, 1.0)]))
     broken = SsspResult([0.0, 1.0, -1.0], [None, 0, 1], True,
                         RunStats(mode="external"), cycle_witness=2)
-    with pytest.raises(BrokenParentChain):
+    with pytest.raises(NoCycleRecorded):
         detect_negative_cycle(broken, g)
+
+
+@pytest.mark.parametrize("witness", [99, "x", 1.0, -1], ids=repr)
+def test_detect_refuses_a_witness_that_is_not_a_vertex(witness):
+    # 99 once raised IndexError, "x" and 1.0 TypeError, and -1 was read
+    # as vertex 2, which lies on the cycle 1 <-> 2
+    g = from_edge_list(EdgeListDoc(3, [(0, 1, 1.0), (1, 2, -2.0),
+                                       (2, 1, 1.0)]))
+    claim = SsspResult([0.0, 0.0, 0.0], [None, 2, 1], True,
+                       RunStats(mode="external"), cycle_witness=witness)
+    with pytest.raises(NoCycleRecorded):
+        detect_negative_cycle(claim, g)

@@ -18,9 +18,9 @@ from jfrbench.generators import (gen_slf_killer, generate,
 from jfrbench.graph import (SCALE, EdgeListDoc, from_edge_list, read_file,
                             write_file, write_text)
 from jfrbench.jfr import jfr_pq, jfr_strict
-from jfrbench.paths import cycle_weight, detect_negative_cycle
 from jfrbench.results import RunStats, SsspResult
 from jfrbench.verify import (certify, check_optimality_conditions,
+                             cycle_weight, detect_negative_cycle,
                              oracle_compare, oracle_verdict)
 
 
@@ -434,6 +434,25 @@ def test_certify_resolves_a_negative_cycle_the_source_cannot_reach(resolves):
     report = certify(g, 0, claim)
     assert report == rule_before_certify(g, 0, claim)
     assert not report.neg_cycle_agree and resolves == [0]
+
+
+def test_certify_reads_only_the_cycle_the_result_names(resolves):
+    # the first parent cycle, 1 <-> 2, is negative but out of reach of 0,
+    # so certify re-solves though the later one, 3 <-> 4, would vouch
+    g = from_edge_list(EdgeListDoc(5, [(0, 3, 1.0), (3, 4, -2.0),
+                                       (4, 3, 1.0), (1, 2, -1.0),
+                                       (2, 1, -1.0)]))
+    claim = flagged_claim(5, [None, 2, 1, 4, 3])
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert report.ok and resolves == [0]
+    # a witness off the cycle 3 <-> 4 walks up 2 -> 1 -> 3 onto it, which
+    # vouches with no further re-solve
+    claim = flagged_claim(5, [None, 3, 1, 4, 3])
+    claim.cycle_witness = 2
+    report = certify(g, 0, claim)
+    assert report == rule_before_certify(g, 0, claim)
+    assert report.ok and resolves == [0]
 
 
 def test_certify_resolves_a_parent_cycle_through_a_missing_edge(resolves):
